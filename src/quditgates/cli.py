@@ -60,6 +60,12 @@ def _coefficients_text(h: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _verify_round_trip(err: float) -> None:
+    if err > 1e-10:
+        _fail(EXIT_NUMERIC, f"round-trip residual {err:.3e} exceeds 1e-10")
+    click.echo(f"verify: round-trip residual {err:.3e}", err=True)
+
+
 def _require_finite(m: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(m)):
         _fail(EXIT_NUMERIC, f"{what} contains non-finite entries")
@@ -82,8 +88,11 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def gates(dim: int, gate: str, power: int, fmt: str, out: str | None) -> None:
     """Print a generalized Pauli gate matrix raised to an integer power."""
-    base = {"X": pauli.make_x, "Z": pauli.make_z, "Y": pauli.make_y}[gate](dim)
-    matrix = pauli.gate_power(base, power)
+    a, b = {"X": (power, 0), "Z": (0, power), "Y": (power, power)}[gate]
+    matrix = pauli.shift_clock(a, b, dim)
+    if gate == "Y":
+        # (XZ)^n = omega^(n(n-1)/2) X^n Z^n, the exponent reduced mod d exactly
+        matrix = matrix * np.exp(2j * np.pi * ((power * (power - 1) // 2) % dim) / dim)
     text = formats.matrix_to_json(matrix) if fmt == "json" else _matrix_text(matrix)
     _emit(text, out)
 
@@ -124,10 +133,7 @@ def synth(
         _require_finite(matrix, "input matrix")
         h = weyl.decompose(matrix)
         if verify:
-            err = float(np.linalg.norm(weyl.reconstruct(h) - matrix))
-            if err > 1e-10:
-                _fail(EXIT_NUMERIC, f"round-trip residual {err:.3e} exceeds 1e-10")
-            click.echo(f"verify: round-trip residual {err:.3e}", err=True)
+            _verify_round_trip(float(np.linalg.norm(weyl.reconstruct(h) - matrix)))
         text = formats.coefficients_to_json(h) if fmt == "json" else _coefficients_text(h)
     else:
         try:
@@ -137,10 +143,7 @@ def synth(
         _require_finite(h, "input coefficients")
         matrix = weyl.reconstruct(h)
         if verify:
-            err = float(np.linalg.norm(weyl.decompose(matrix) - h))
-            if err > 1e-10:
-                _fail(EXIT_NUMERIC, f"round-trip residual {err:.3e} exceeds 1e-10")
-            click.echo(f"verify: round-trip residual {err:.3e}", err=True)
+            _verify_round_trip(float(np.linalg.norm(weyl.decompose(matrix) - h)))
         text = formats.matrix_to_json(matrix) if fmt == "json" else _matrix_text(matrix)
     _emit(text, out)
 

@@ -43,13 +43,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pauli import SubspaceMap, check_dim, dagger, gate_power, make_x
+from .pauli import SubspaceMap, check_dim, shift_clock
 
 #: Amplitude map: (path, OAM label) -> complex amplitude.
 Amplitudes = dict[tuple[str, int], complex]
 
 #: Circuit kinds accepted by :func:`build_gate_circuit`.
 GATE_KINDS = ("X", "X2", "Xdagger")
+#: Power of the shift X that each gate kind realizes.
+_SHIFTS = {"X": 1, "X2": 2, "Xdagger": -1}
 
 
 class CircuitError(ValueError):
@@ -442,10 +444,9 @@ def efficiency(
 
 def expected_permutation(kind: str, d: int = 4) -> list[int]:
     """Target output column for each input row under a given gate kind."""
-    shift = {"X": 1, "X2": 2, "Xdagger": -1}
-    if kind not in shift:
+    if kind not in _SHIFTS:
         raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
-    return [(i + shift[kind]) % d for i in range(d)]
+    return [(i + _SHIFTS[kind]) % d for i in range(d)]
 
 
 def build_gate_circuit(kind: str, window: SubspaceMap) -> OpticalCircuit:
@@ -697,11 +698,6 @@ def monte_carlo_counts(
 
 def ideal_gate_matrix(kind: str, d: int = 4) -> np.ndarray:
     """The logical-space gate a given circuit kind is meant to realize."""
-    x = make_x(d)
-    if kind == "X":
-        return x
-    if kind == "X2":
-        return gate_power(x, 2)
-    if kind == "Xdagger":
-        return dagger(x)
-    raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
+    if kind not in _SHIFTS:
+        raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
+    return shift_clock(_SHIFTS[kind], 0, d)

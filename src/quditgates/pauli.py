@@ -4,6 +4,7 @@ The two generators are the cyclic shift X (|l> -> |l+1 mod d>) and the
 clock Z (|l> -> omega^l |l>, omega = exp(2*pi*i/d)).  Together with their
 integer powers they satisfy X^d = Z^d = I and X.Z = omega^(-1) Z.X, and
 span the full operator algebra (see :mod:`quditgates.weyl`).
+:func:`shift_clock` builds X^a Z^b exactly, by index arithmetic mod d.
 
 All values are plain complex numpy arrays, immutable by convention; every
 function is pure, so everything here is safe to share across threads.
@@ -33,20 +34,40 @@ def omega(d: int) -> complex:
     return complex(np.exp(2j * np.pi / check_dim(d)))
 
 
+def _check_exponent(n: int) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"power must be an integer, got {n!r}")
+    return int(n)
+
+
+def shift_clock(a: int, b: int, d: int) -> np.ndarray:
+    """Exact X^a Z^b for any integers a, b: omega^(b*l) at (l+a mod d, l).
+
+    Both exponents and the phase exponent b*l are reduced mod d with integer
+    arithmetic before any complex number is formed, so X^d = Z^d = I hold
+    exactly and a huge power such as Z^(10^18) costs the same and is as
+    exact as Z^2.
+    """
+    d = check_dim(d)
+    a, b = _check_exponent(a) % d, _check_exponent(b) % d
+    l = np.arange(d)
+    out = np.zeros((d, d), dtype=complex)
+    out[(l + a) % d, l] = np.exp(2j * np.pi * ((b * l) % d) / d)
+    return out
+
+
 def make_x(d: int) -> np.ndarray:
     """Cyclic shift gate X with X|l> = |l+1 mod d>.
 
     The matrix is the permutation with a 1 at (l+1 mod d, l): each basis
     state moves to its nearest neighbour, the top one wrapping to |0>.
     """
-    d = check_dim(d)
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    return shift_clock(1, 0, d)
 
 
 def make_z(d: int) -> np.ndarray:
     """Mode-dependent phase gate Z = diag(omega^l), omega = exp(2*pi*i/d)."""
-    d = check_dim(d)
-    return np.diag(omega(d) ** np.arange(d))
+    return shift_clock(0, 1, d)
 
 
 def make_y(d: int) -> np.ndarray:
@@ -56,7 +77,7 @@ def make_y(d: int) -> np.ndarray:
     only up to a global phase.  The product definition is used literally
     for every d rather than adopting a qubit-specific phase convention.
     """
-    return make_x(d) @ make_z(d)
+    return shift_clock(1, 1, d)
 
 
 def dagger(g: np.ndarray) -> np.ndarray:
@@ -65,16 +86,18 @@ def dagger(g: np.ndarray) -> np.ndarray:
 
 
 def gate_power(g: np.ndarray, n: int) -> np.ndarray:
-    """Integer power g^n; negative n means powers of the conjugate transpose.
+    """Integer power g^n of an arbitrary square matrix; negative n means
+    powers of the conjugate transpose.
 
-    gate_power(g, 0) is the identity.  For g = X and n >= 0 the result has
-    a 1 at (l+n mod d, l).
+    gate_power(g, 0) is the identity.  This is the general matrix power by
+    repeated squaring, so rounding grows with log|n| and nothing is reduced
+    mod d; for powers of the shift/clock gates use :func:`shift_clock`,
+    which is exact for every exponent.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"power must be an integer, got {n!r}")
+    n = _check_exponent(n)
     if n < 0:
-        return np.linalg.matrix_power(dagger(g), -int(n))
-    return np.linalg.matrix_power(np.asarray(g, dtype=complex), int(n))
+        return np.linalg.matrix_power(dagger(g), -n)
+    return np.linalg.matrix_power(np.asarray(g, dtype=complex), n)
 
 
 def apply_gate(g: np.ndarray, state: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ Hermitian basis Q(l,m) = chi*D + conj(chi)*D^dagger with chi = (1+i)/2,
 synthesis of arbitrary Hermitian generators from real coefficient tables,
 unitary exponentiation, and the decomposition of arbitrary d x d matrices
 over the X^l Z^m basis (a d^2-element trace-orthogonal basis, so the
-coefficient table is unique and exact).
+coefficient table is unique and exact).  X^l Z^m is a permutation times a
+diagonal, so each table row is one FFT of a cyclic diagonal of the matrix:
+every table operation costs O(d^2 log d) and builds no basis matrix.
 
 Pure functions over immutable arrays; safe for concurrent use.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import ATOL, check_dim, dagger, gate_power, make_x, make_z
+from .pauli import ATOL, check_dim, dagger, shift_clock
 
 #: Mixing constant for the Hermitian basis.
 CHI = (1 + 1j) / 2
@@ -36,7 +38,16 @@ def weyl_operator(l: int, m: int, d: int) -> np.ndarray:
     d = check_dim(d)
     _check_index(l, m, d)
     phase = np.exp(1j * np.pi * l * m / d)
-    return phase * gate_power(make_z(d), l) @ gate_power(make_x(d), m)
+    return phase * shift_clock(0, l, d) @ shift_clock(m, 0, d)
+
+
+def _check_table(a: np.ndarray, what: str) -> int:
+    """Dimension of a square, finite d x d array; ValueError otherwise."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} contains non-finite entries")
+    return check_dim(a.shape[0])
 
 
 def q_basis(l: int, m: int, d: int) -> np.ndarray:
@@ -50,21 +61,20 @@ def q_basis(l: int, m: int, d: int) -> np.ndarray:
 
 
 def hermitian_from_coeffs(c: np.ndarray) -> np.ndarray:
-    """Hermitian matrix A = sum_{l,m} c[l,m] Q(l,m) from a real d x d table."""
+    """Hermitian matrix A = sum_{l,m} c[l,m] Q(l,m) from a real d x d table.
+
+    A = chi*B + conj(chi)*B^dagger with B = sum c[l,m] D(l,m), whose entry
+    B[r, (r-m) mod d] = sum_l c[l,m] exp(i*pi*l*m/d) omega^(l*r) is one
+    inverse FFT over l.
+    """
     c = np.asarray(c)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"coefficient table must be square, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficient table contains non-finite entries")
+    d = _check_table(c, "coefficient table")
     if np.iscomplexobj(c) and np.abs(c.imag).max() > 0:
         raise ValueError("coefficient table must be real")
-    d = c.shape[0]
-    a = np.zeros((d, d), dtype=complex)
-    for l in range(d):
-        for m in range(d):
-            if c[l, m] != 0:
-                a += float(c.real[l, m]) * q_basis(l, m, d)
-    return a
+    k = np.arange(d)
+    by_row = d * np.fft.ifft(c.real * np.exp(1j * np.pi * np.outer(k, k) / d), axis=0)
+    b = by_row[k[:, None], (k[:, None] - k) % d]
+    return CHI * b + np.conj(CHI) * b.conj().T
 
 
 def exp_i_hermitian(a: np.ndarray, atol: float = ATOL) -> np.ndarray:
@@ -84,49 +94,30 @@ def exp_i_hermitian(a: np.ndarray, atol: float = ATOL) -> np.ndarray:
     return (evecs * np.exp(1j * evals)) @ evecs.conj().T
 
 
-def _shift_clock_basis(d: int) -> list[list[np.ndarray]]:
-    """All basis elements X^l Z^m, indexed [l][m]."""
-    x_pows = [gate_power(make_x(d), l) for l in range(d)]
-    z_pows = [gate_power(make_z(d), m) for m in range(d)]
-    return [[x_pows[l] @ z_pows[m] for m in range(d)] for l in range(d)]
-
-
 def decompose(u: np.ndarray) -> np.ndarray:
     """Coefficients h with u = sum_{l,m} h[l,m] X^l Z^m.
 
     Works for any square complex matrix (the basis spans all of them, not
     just unitaries).  Uses the trace inner product: since
     tr((X^l Z^m)^dagger X^l' Z^m') = d * delta, the projection
-    h[l,m] = tr((X^l Z^m)^dagger u) / d is exact and unique.  The returned
-    table is already fully folded: X^d = Z^d = I, so exponents outside
-    [0, d-1] never appear and the d^2 entries are the whole expansion.
+    h[l,m] = tr((X^l Z^m)^dagger u) / d is exact and unique.  X^l Z^m is
+    omega^(m*j) at ((j+l) mod d, j) and zero elsewhere, so row l of h is the
+    FFT of the l-th cyclic diagonal of u over d: O(d^2 log d) in all.  The
+    table is fully folded: X^d = Z^d = I, so the d^2 entries are the whole
+    expansion.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {u.shape}")
-    d = check_dim(u.shape[0])
-    basis = _shift_clock_basis(d)
-    h = np.empty((d, d), dtype=complex)
-    for l in range(d):
-        for m in range(d):
-            h[l, m] = np.trace(basis[l][m].conj().T @ u) / d
-    return h
+    d = _check_table(u, "matrix")
+    k = np.arange(d)
+    return np.fft.fft(u[(k + k[:, None]) % d, k], axis=1) / d
 
 
 def reconstruct(h: np.ndarray) -> np.ndarray:
-    """Matrix sum_{l,m} h[l,m] X^l Z^m from a complete coefficient table."""
+    """Matrix sum_{l,m} h[l,m] X^l Z^m; d * ifft(h[l]) is its l-th cyclic diagonal."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"coefficient table must be square, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("coefficient table contains non-finite entries")
-    d = check_dim(h.shape[0])
-    basis = _shift_clock_basis(d)
-    out = np.zeros((d, d), dtype=complex)
-    for l in range(d):
-        for m in range(d):
-            out += h[l, m] * basis[l][m]
-    return out
+    d = _check_table(h, "coefficient table")
+    k = np.arange(d)
+    return (d * np.fft.ifft(h, axis=1))[(k[:, None] - k) % d, k]
 
 
 def random_unitary(d: int, seed: int) -> np.ndarray:

@@ -36,6 +36,19 @@ def test_gates_x_fourth_power_is_identity(runner):
     assert np.allclose(matrix_from_json(result.stdout), np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("gate, dim, power, want", [
+    ("Z", 4, 10**18, np.eye(4)),
+    ("X", 4, 10**18 + 1, make_x(4)),
+    ("Y", 4, 10**18, np.eye(4)),
+    ("Z", 3, -(10**18) + 2, make_z(3)),
+])
+def test_gates_huge_power_is_exact(runner, gate, dim, power, want):
+    result = runner.invoke(main, ["gates", "--dim", str(dim), "--gate", gate,
+                                  "--power", str(power), "--format", "json"])
+    assert result.exit_code == 0
+    assert np.array_equal(matrix_from_json(result.stdout), want)
+
+
 def test_gates_text_output(runner):
     result = runner.invoke(main, ["gates", "--gate", "X"])
     assert result.exit_code == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditgates import (
     SubspaceMap,
@@ -12,6 +14,7 @@ from quditgates import (
     make_y,
     make_z,
     omega,
+    shift_clock,
 )
 
 np_rng = np.random.default_rng(20240901)
@@ -166,3 +169,43 @@ def test_subspace_map_range_errors():
         m.to_oam(-1)
     with pytest.raises(ValueError):
         m.to_logical(2)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_shift_clock_matches_dense_powers(d):
+    x, z = make_x(d), make_z(d)
+    for a in range(-2 * d, 2 * d + 1):
+        for b in range(-2 * d, 2 * d + 1, 3):
+            want = gate_power(x, a) @ gate_power(z, b)
+            assert np.abs(shift_clock(a, b, d) - want).max() <= 1e-12
+
+
+def test_shift_clock_rejects_non_integer_exponents():
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            shift_clock(bad, 0, 4)
+        with pytest.raises(ValueError, match="integer"):
+            shift_clock(0, bad, 4)
+
+
+huge = st.integers(-(10**30), 10**30)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 16), huge, huge, huge, huge)
+def test_shift_clock_is_exactly_periodic(d, a, b, j, k):
+    # X^d = Z^d = I exactly, at any exponent size
+    eye = np.eye(d, dtype=complex)
+    assert np.array_equal(shift_clock(j * d, 0, d), eye)
+    assert np.array_equal(shift_clock(0, k * d, d), eye)
+    assert np.array_equal(shift_clock(a + j * d, b + k * d, d), shift_clock(a, b, d))
+
+
+@settings(deadline=None)
+@given(st.integers(2, 8).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(-3 * d, 3 * d))))
+def test_y_power_phase_formula(dn):
+    # (XZ)^n = omega^(n(n-1)/2 mod d) X^n Z^n
+    d, n = dn
+    want = omega(d) ** ((n * (n - 1) // 2) % d) * shift_clock(n, n, d)
+    assert np.abs(gate_power(make_y(d), n) - want).max() <= 1e-12

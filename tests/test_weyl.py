@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quditgates import (
     decompose,
@@ -11,13 +14,60 @@ from quditgates import (
     make_x,
     make_y,
     make_z,
+    omega,
     q_basis,
     random_unitary,
     reconstruct,
+    shift_clock,
     weyl_operator,
 )
 
 np_rng = np.random.default_rng(20240902)
+
+
+# --- dense reference: every basis matrix built and summed or traced --------
+
+def dense_shift_clock_basis(d):
+    """X^l Z^m as dense matrix powers, indexed [l][m]."""
+    x, z = make_x(d), make_z(d)
+    return [[gate_power(x, l) @ gate_power(z, m) for m in range(d)] for l in range(d)]
+
+
+def dense_decompose(u):
+    """h[l,m] = tr((X^l Z^m)^dagger u) / d, one trace per basis element."""
+    d = u.shape[0]
+    basis = dense_shift_clock_basis(d)
+    return np.array(
+        [[np.trace(basis[l][m].conj().T @ u) / d for m in range(d)] for l in range(d)]
+    )
+
+
+def dense_reconstruct(h):
+    """sum_{l,m} h[l,m] X^l Z^m over the dense basis."""
+    d = h.shape[0]
+    basis = dense_shift_clock_basis(d)
+    return sum(h[l, m] * basis[l][m] for l in range(d) for m in range(d))
+
+
+def dense_hermitian_from_coeffs(c):
+    """sum_{l,m} c[l,m] Q(l,m) with D(l,m) = exp(i*pi*l*m/d) Z^l X^m built densely."""
+    d = c.shape[0]
+    x, z = make_x(d), make_z(d)
+    a = np.zeros((d, d), dtype=complex)
+    for l in range(d):
+        for m in range(d):
+            dd = np.exp(1j * np.pi * l * m / d) * gate_power(z, l) @ gate_power(x, m)
+            a += c[l, m] * ((1 + 1j) / 2 * dd + (1 - 1j) / 2 * dd.conj().T)
+    return a
+
+
+def sparse_table(d, rng, complex_=False):
+    """Normal table with about a third of its entries set to exactly zero."""
+    t = rng.normal(size=(d, d))
+    if complex_:
+        t = t + 1j * rng.normal(size=(d, d))
+    t[rng.random((d, d)) < 1 / 3] = 0
+    return t
 
 
 def test_displacement_identity_at_origin():
@@ -171,3 +221,85 @@ def test_truncation_consistency_d4():
 def test_random_unitary_is_deterministic():
     assert np.array_equal(random_unitary(4, 123), random_unitary(4, 123))
     assert not np.allclose(random_unitary(4, 123), random_unitary(4, 124))
+
+
+ORACLE_DIMS = [2, 3, 4, 5, 8]
+
+
+@pytest.mark.parametrize("d", ORACLE_DIMS)
+def test_closed_forms_match_dense_oracle(d):
+    rng = np.random.default_rng([20240902, d])
+    single = np.zeros((d, d))
+    single[d - 1, 1] = 1.0
+    for c in (sparse_table(d, rng), np.zeros((d, d)), single):
+        err = np.abs(hermitian_from_coeffs(c) - dense_hermitian_from_coeffs(c)).max()
+        assert err <= 1e-12
+    for _ in range(5):
+        u = sparse_table(d, rng, complex_=True)
+        assert np.abs(decompose(u) - dense_decompose(u)).max() <= 1e-12
+        h = sparse_table(d, rng, complex_=True)
+        assert np.abs(reconstruct(h) - dense_reconstruct(h)).max() <= 1e-12
+
+
+def test_decompose_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        u = np.eye(4, dtype=complex)
+        u[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(u)
+
+
+# --- property tests --------------------------------------------------------
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def square_matrices(draw, dims=st.integers(2, 12)):
+    d = draw(dims)
+    re = draw(arrays(np.float64, (d, d), elements=finite))
+    im = draw(arrays(np.float64, (d, d), elements=finite))
+    return re + 1j * im
+
+
+def scale(*ms):
+    return max(1.0, *(np.abs(m).max() for m in ms))
+
+
+@settings(deadline=None)
+@given(square_matrices())
+def test_parseval(u):
+    d = u.shape[0]
+    h = decompose(u)
+    norm2 = np.linalg.norm(u) ** 2
+    assert abs(d * np.sum(np.abs(h) ** 2) - norm2) <= 1e-12 * max(1.0, norm2)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 12).flatmap(lambda d: st.tuples(
+        square_matrices(st.just(d)), square_matrices(st.just(d)))),
+    st.complex_numbers(max_magnitude=100, allow_nan=False, allow_infinity=False),
+)
+def test_decompose_is_linear(pair, a):
+    u, v = pair
+    err = np.abs(decompose(a * u + v) - (a * decompose(u) + decompose(v))).max()
+    assert err <= 1e-11 * scale(a * u, v)
+
+
+@settings(deadline=None)
+@given(square_matrices(st.sampled_from([3, 5, 6, 7, 9, 10, 11, 12, 15, 24])))
+def test_round_trip_non_power_of_two(u):
+    assert np.abs(reconstruct(decompose(u)) - u).max() <= 1e-12 * scale(u)
+
+
+@settings(deadline=None)
+@given(square_matrices(), st.integers(-50, 50), st.integers(-50, 50))
+def test_weyl_covariance(u, a, b):
+    # P = X^a Z^b: P X^l Z^m P^dagger = omega^(b*l - a*m) X^l Z^m
+    d = u.shape[0]
+    p = shift_clock(a, b, d)
+    l, m = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    want = omega(d) ** ((b * l - a * m) % d) * decompose(u)
+    assert np.abs(decompose(p @ u @ p.conj().T) - want).max() <= 1e-11 * scale(u)
+
