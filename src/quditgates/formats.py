@@ -15,6 +15,7 @@ newline) so parse -> serialize round trips are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -175,10 +176,14 @@ def _element_from_dict(data: dict, pos: int):
             _require(data, "reflect", str, context),
         )
     if kind == "phase":
-        return PhaseShift(
-            _require(data, "path", str, context),
-            float(_require(data, "phi", (int, float), context)),
-        )
+        path = _require(data, "path", str, context)
+        try:
+            phi = float(_require(data, "phi", (int, float), context))
+        except OverflowError:
+            phi = math.inf
+        if not math.isfinite(phi):
+            raise SchemaError(f"{context}: field 'phi' must be finite")
+        return PhaseShift(path, phi)
     raise SchemaError(f"{context}: unknown element type {kind!r}")
 
 
@@ -259,4 +264,6 @@ def count_matrix_from_csv(text: str) -> tuple[np.ndarray, SubspaceMap]:
             matrix[i] = [float(c) for c in cells[1:]]
         except ValueError as exc:
             raise SchemaError(f"count file: row {i} contains a non-number") from exc
+        if not np.all(np.isfinite(matrix[i])) or np.any(matrix[i] < 0):
+            raise SchemaError(f"count file: row {i} has a negative or non-finite value")
     return matrix, SubspaceMap(d, labels[0])

@@ -23,6 +23,17 @@ exact expectation: the model is sampled without Monte Carlo error.
 Detection probabilities are those averages; a single propagation with all
 signs positive is exposed as the deterministic "representative branch".
 
+The signs are independent, so the statistics do not enumerate the 2^k
+patterns (that is :func:`propagate_branches`, kept as the oracle).  A
+circuit is compiled once onto the (path, OAM label) keys reachable from
+its inputs, each noisy element becoming one Kraus pair (four operators for
+an ideal recombiner, which has two slots), and a batch of density
+operators goes through it in one pass: every noisy element maps rho to the
+mean of K rho K^dagger over its operators (the operator-sum form), so the
+cost grows linearly with k.  Runs of noise-free elements are folded into
+the next noisy element.  Every element defines its per-key action once
+(:class:`_Element`); :func:`apply_element` and the compiler both read it.
+
 Recombiners come in two flavours: "ideal" routes by parity match like a
 reversed sorter (losslessly at V=1), while "lossy_pbs" merges both arms
 unconditionally and scales every amplitude by sqrt(throughput), modeling a
@@ -62,16 +73,49 @@ class CalibrationError(RuntimeError):
     """Raised when visibility calibration cannot reach the requested target."""
 
 
+def _split_weights(v: float, split_sign: int) -> dict[str, complex]:
+    """Correct-port and wrong-port amplitude weights at visibility `v`."""
+    keep, leak = math.sqrt((1 + v) / 2), 1j * split_sign * math.sqrt((1 - v) / 2)
+    return {"keep": keep, "leak": leak}
+
+
+class _Element:
+    """Per-key physics of one element, read by :func:`apply_element` and the
+    compiled propagation alike.
+
+    `inputs` names the paths the element acts on; amplitudes elsewhere pass
+    through untouched.  `routes(path, ell)` lists where an amplitude on an
+    input path goes, each destination with the names of the weight factors
+    it is multiplied by, in order.  `weights(noise, split_sign, phase_sign)`
+    gives those factors' values on one noise branch, and `noise_slots`
+    names the element's random signs ('split', 'phase').
+    """
+
+    noise_slots = ()
+
+    def weights(self, noise, split_sign, phase_sign):
+        return {}
+
+
+class _OnePath(_Element):
+    @property
+    def inputs(self):
+        return (self.path,)
+
+
 @dataclass(frozen=True)
-class SpiralPhasePlate:
+class SpiralPhasePlate(_OnePath):
     """Adds `delta_ell` to the OAM label of every amplitude on `path`."""
 
     path: str
     delta_ell: int
 
+    def routes(self, path, ell):
+        return (((path, ell + self.delta_ell), ()),)
+
 
 @dataclass(frozen=True)
-class Mirror:
+class Mirror(_OnePath):
     """Single reflection on `path`: OAM label l -> -l, amplitude unchanged.
 
     Reflections carry no extra phase here; within an arm any fixed
@@ -80,9 +124,12 @@ class Mirror:
 
     path: str
 
+    def routes(self, path, ell):
+        return (((path, -ell), ()),)
+
 
 @dataclass(frozen=True)
-class ParitySorter:
+class ParitySorter(_Element):
     """Routes even OAM labels to `out_even` and odd ones to `out_odd`.
 
     The output port named by `reflected_parity` sits behind a reflection,
@@ -96,9 +143,27 @@ class ParitySorter:
     out_odd: str
     reflected_parity: str = "even"
 
+    noise_slots = ("split",)
+
+    @property
+    def inputs(self):
+        return self.in_paths
+
+    def routes(self, path, ell):
+        even, odd = self.out_even, self.out_odd
+        correct, wrong = (even, odd) if ell % 2 == 0 else (odd, even)
+        flip = even if self.reflected_parity == "even" else odd
+        return (
+            ((correct, -ell if correct == flip else ell), ("keep",)),
+            ((wrong, -ell if wrong == flip else ell), ("leak",)),
+        )
+
+    def weights(self, noise, split_sign, phase_sign):
+        return _split_weights(noise.visibility, split_sign)
+
 
 @dataclass(frozen=True)
-class Recombiner:
+class Recombiner(_Element):
     """Merges the two arms onto `out`.
 
     mode "ideal": a reversed parity sorter; amplitudes whose parity matches
@@ -119,13 +184,43 @@ class Recombiner:
     mode: str = "lossy_pbs"
     reflect: str = "odd"
 
+    @property
+    def inputs(self):
+        return (self.in_even, self.in_odd)
+
+    @property
+    def noise_slots(self):
+        return ("phase",) if self.mode == "lossy_pbs" else ("phase", "split")
+
+    def routes(self, path, ell):
+        arm = "even" if path == self.in_even else "odd"
+        phase = ("arm",) if arm == "odd" else ()
+        key = (self.out, -ell if self.reflect == arm else ell)
+        if self.mode == "lossy_pbs":
+            return ((key, (*phase, "tau")),)
+        matched = (ell % 2 == 0) == (arm == "even")
+        out, discard = ("keep", "leak") if matched else ("leak", "keep")
+        rejected = (_discard_path(self.out), key[1])
+        return ((key, (*phase, out)), (rejected, (*phase, discard)))
+
+    def weights(self, noise, split_sign, phase_sign):
+        arm = complex(np.exp(1j * phase_sign * math.acos(noise.visibility)))
+        tau = math.sqrt(noise.throughput)
+        return {"arm": arm, "tau": tau, **_split_weights(noise.visibility, split_sign)}
+
 
 @dataclass(frozen=True)
-class PhaseShift:
+class PhaseShift(_OnePath):
     """Multiplies every amplitude on `path` by exp(i*phi)."""
 
     path: str
     phi: float
+
+    def routes(self, path, ell):
+        return (((path, ell), ("phase",)),)
+
+    def weights(self, noise, split_sign, phase_sign):
+        return {"phase": complex(np.exp(1j * self.phi))}
 
 
 OpticalElement = SpiralPhasePlate | Mirror | ParitySorter | Recombiner | PhaseShift
@@ -252,56 +347,20 @@ def apply_element(
     rejected amplitude).  The lossy recombiner scales the merged total by
     exactly `noise.throughput`.
     """
-    v = noise.visibility
-    out: Amplitudes = {}
-    if isinstance(element, SpiralPhasePlate):
-        for (path, ell), amp in state.items():
-            key = (path, ell + element.delta_ell) if path == element.path else (path, ell)
-            _add(out, key, amp)
-    elif isinstance(element, Mirror):
-        for (path, ell), amp in state.items():
-            key = (path, -ell) if path == element.path else (path, ell)
-            _add(out, key, amp)
-    elif isinstance(element, PhaseShift):
-        rot = complex(np.exp(1j * element.phi))
-        for (path, ell), amp in state.items():
-            _add(out, (path, ell), amp * rot if path == element.path else amp)
-    elif isinstance(element, ParitySorter):
-        (src,) = element.in_paths
-        keep = math.sqrt((1 + v) / 2)
-        leak = 1j * split_sign * math.sqrt((1 - v) / 2)
-        for (path, ell), amp in state.items():
-            if path != src:
-                _add(out, (path, ell), amp)
-                continue
-            correct = element.out_even if ell % 2 == 0 else element.out_odd
-            wrong = element.out_odd if ell % 2 == 0 else element.out_even
-            for port, weight in ((correct, keep), (wrong, leak)):
-                reflected = (port == element.out_even) == (
-                    element.reflected_parity == "even"
-                )
-                _add(out, (port, -ell if reflected else ell), amp * weight)
-    elif isinstance(element, Recombiner):
-        arm_phase = complex(np.exp(1j * phase_sign * math.acos(v)))
-        keep = math.sqrt((1 + v) / 2)
-        leak = 1j * split_sign * math.sqrt((1 - v) / 2)
-        root_tau = math.sqrt(noise.throughput)
-        for (path, ell), amp in state.items():
-            if path not in (element.in_even, element.in_odd):
-                _add(out, (path, ell), amp)
-                continue
-            arm = "even" if path == element.in_even else "odd"
-            a = amp * arm_phase if arm == "odd" else amp
-            ell2 = -ell if element.reflect == arm else ell
-            if element.mode == "lossy_pbs":
-                _add(out, (element.out, ell2), a * root_tau)
-            else:
-                matched = (ell % 2 == 0) == (arm == "even")
-                to_out, to_discard = (keep, leak) if matched else (leak, keep)
-                _add(out, (element.out, ell2), a * to_out)
-                _add(out, (_discard_path(element.out), ell2), a * to_discard)
-    else:
+    if not isinstance(element, _Element):
         raise CircuitError(f"unknown element {element!r}")
+    weights = element.weights(noise, split_sign, phase_sign)
+    inputs, routes = element.inputs, element.routes
+    out: Amplitudes = {}
+    for key, amp in state.items():
+        if key[0] not in inputs:
+            _add(out, key, amp)
+            continue
+        for dst, factors in routes(*key):
+            a = amp
+            for name in factors:
+                a = a * weights[name]
+            _add(out, dst, a)
     return out
 
 
@@ -310,17 +369,24 @@ def total_probability(state: Amplitudes) -> float:
     return float(sum(abs(a) ** 2 for a in state.values()))
 
 
-def _noise_slots(circuit: OpticalCircuit) -> list[tuple[int, str]]:
-    """(element index, 'split'|'phase') pairs that carry a random sign."""
-    slots: list[tuple[int, str]] = []
-    for pos, e in enumerate(circuit.elements):
-        if isinstance(e, ParitySorter):
-            slots.append((pos, "split"))
-        elif isinstance(e, Recombiner):
-            slots.append((pos, "phase"))
-            if e.mode == "ideal":
-                slots.append((pos, "split"))
-    return slots
+def _sign_patterns(slots: list, noise: NoiseParams) -> list[dict]:
+    """Every +/- assignment to the noise `slots`, as slot -> sign maps.
+
+    At V=1 every assignment gives the same result, so only the all-plus
+    one (the empty map, as missing signs default to +1) is returned.
+    """
+    if noise.visibility == 1.0:
+        return [{}]
+    return [dict(zip(slots, p)) for p in itertools.product((1, -1), repeat=len(slots))]
+
+
+def _check_input(circuit: OpticalCircuit, state: Amplitudes) -> None:
+    for path, _ in state:
+        if path != circuit.input_path:
+            raise CircuitError(
+                f"input amplitudes must live on {circuit.input_path!r}, "
+                f"found path {path!r}"
+            )
 
 
 def propagate(
@@ -336,12 +402,7 @@ def propagate(
     default to +1.  With ideal noise and ideal recombiners the total
     probability is conserved.
     """
-    for path, _ in state:
-        if path != circuit.input_path:
-            raise CircuitError(
-                f"input amplitudes must live on {circuit.input_path!r}, "
-                f"found path {path!r}"
-            )
+    _check_input(circuit, state)
     signs = signs or {}
     current = dict(state)
     for pos, element in enumerate(circuit.elements):
@@ -364,17 +425,85 @@ def propagate_branches(
 
     At V=1 there is a single branch.  Otherwise each noise slot takes both
     signs of its two-point phase distribution; averaging probabilities
-    over these branches is the exact expectation under the model.
+    over these branches is the exact expectation under the model.  This
+    enumeration costs 2^k propagations for k slots; the statistics below
+    use the equivalent density-operator pass, and this stays as its oracle.
     """
-    slots = _noise_slots(circuit)
-    if noise.visibility == 1.0 or not slots:
-        return [(1.0, propagate(circuit, state, noise))]
-    branches = []
-    weight = 1.0 / 2 ** len(slots)
-    for pattern in itertools.product((1, -1), repeat=len(slots)):
-        signs = dict(zip(slots, pattern))
-        branches.append((weight, propagate(circuit, state, noise, signs)))
-    return branches
+    slots = [(pos, s) for pos, e in enumerate(circuit.elements) for s in e.noise_slots]
+    patterns = _sign_patterns(slots, noise)
+    return [(1.0 / len(patterns), propagate(circuit, state, noise, s)) for s in patterns]
+
+
+def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
+    """The Kraus steps of `circuit` on the (path, ell) keys reachable from
+    the input-path `labels`, and the final row of each output-path label.
+
+    A step is (element, factors, basis): basis[f] is the (n_out, n_in)
+    operator holding the constant weights of the routes whose element
+    weight factors are `factors[f]`.  Noise-free elements map keys one to
+    one, so they fold into the next noisy element's step (or one final
+    step with a bare `_Element`).  Keys on paths that no later element
+    reads, other than the output path, are dropped as soon as they appear.
+    """
+    needed = [{circuit.output_path}]
+    for e in reversed(circuit.elements[1:]):
+        needed.append(needed[-1] | set(e.inputs))
+    keys = [(circuit.input_path, ell) for ell in labels]
+    # origin[i]: the row of the last step's output that key i comes from,
+    # times the constant picked up on noise-free elements since then.
+    origin = identity = [(i, 1.0) for i in range(len(keys))]
+    steps = []
+
+    def add_step(element, routes):
+        factors = sorted({fs for _, _, _, fs in routes})
+        basis = np.zeros((len(factors), len(keys), len(identity)), dtype=complex)
+        for src, dst, c, fs in routes:
+            basis[factors.index(fs), dst, src] = c
+        steps.append((element, factors, basis))
+
+    for e, paths in zip(circuit.elements, reversed(needed)):
+        inputs, index, routes = e.inputs, {}, []
+        for key, (src, c) in zip(keys, origin):
+            for dst, fs in e.routes(*key) if key[0] in inputs else ((key, ()),):
+                if dst[0] in paths:
+                    routes.append((src, index.setdefault(dst, len(index)), c, fs))
+        keys = list(index)
+        if e.noise_slots:
+            add_step(e, routes)
+            origin = identity = [(i, 1.0) for i in range(len(keys))]
+        else:
+            w = e.weights(IDEAL, 1, 1)
+            origin = [
+                (src, c * math.prod(map(w.__getitem__, fs))) for src, _, c, fs in routes
+            ]
+    if origin != identity:
+        add_step(_Element(), [(src, dst, c, ()) for dst, (src, c) in enumerate(origin)])
+    out = circuit.output_path
+    return steps, {ell: i for i, (path, ell) in enumerate(keys) if path == out}
+
+
+def _mix(steps: list, noise: NoiseParams, rhos: np.ndarray) -> np.ndarray:
+    """Propagate a batch of density operators, `rhos[a, b, c]` = entry
+    (a, c) of operator b, mapping each at every step to the mean of
+    K rho K^dagger over the step's Kraus operators K, one per sign pattern
+    of the element's noise slots.  Two matrix products per step cover the
+    whole batch and all K.
+    """
+    batch = rhos.shape[1]
+    for e, factors, basis in steps:
+        table = []
+        for signs in _sign_patterns(e.noise_slots, noise):
+            w = e.weights(noise, signs.get("split", 1), signs.get("phase", 1))
+            table.append([math.prod(map(w.__getitem__, fs)) for fs in factors])
+        m, (f, n_out, n_in) = len(table), basis.shape
+        ops = np.array(table, dtype=complex) @ basis.reshape(f, n_out * n_in)
+        ops = ops.reshape(m, n_out, n_in)
+        left = ops.reshape(m * n_out, n_in) @ rhos.reshape(n_in, batch * n_in)
+        left = left.reshape(m, n_out * batch, n_in).transpose(1, 0, 2)
+        ops_h = ops.conj().transpose(0, 2, 1).reshape(m * n_in, n_out) / m
+        rhos = left.reshape(n_out * batch, m * n_in) @ ops_h
+        rhos = rhos.reshape(n_out, batch, n_out)
+    return rhos
 
 
 def output_mode_probabilities(
@@ -382,12 +511,37 @@ def output_mode_probabilities(
     state: Amplitudes,
     noise: NoiseParams = IDEAL,
 ) -> dict[int, float]:
-    """Branch-averaged detection probabilities per OAM label on the output path."""
-    probs: dict[int, float] = {}
-    for weight, final in propagate_branches(circuit, state, noise):
-        for (path, ell), amp in final.items():
-            if path == circuit.output_path:
-                probs[ell] = probs.get(ell, 0.0) + weight * abs(amp) ** 2
+    """Noise-averaged detection probabilities per OAM label on the output
+    path, from one density-operator pass; equal to the average over the
+    :func:`propagate_branches` outputs."""
+    _check_input(circuit, state)
+    steps, outputs = _compile(circuit, [ell for _, ell in state])
+    psi = np.array(list(state.values()), dtype=complex)
+    rho = _mix(steps, noise, np.outer(psi, psi.conj())[:, None])[:, 0]
+    return {ell: p for ell, i in outputs.items() if (p := float(rho[i, i].real)) > 0}
+
+
+#: Windows of up to this many modes send all their basis inputs through one
+#: batch.  A batch of d inputs over n >= d reachable keys holds d n^2
+#: entries and costs d n^3 per step, while one input at a time costs the
+#: sum of its own, smaller n_i^3.  The batch was 2.5-3.5x faster at d <= 8
+#: and per-input faster from d ~ 24 (one BLAS thread); from d ~ 12 the
+#: batch's products are large enough for OpenBLAS to start threads, which
+#: on a loaded 2-core host took 48 ms instead of 0.3 ms.
+_BATCH_WINDOW = 8
+
+
+def _detections(compiled, batch: int, window, noise: NoiseParams) -> np.ndarray:
+    """Output-path detection probabilities P[i, j] of window mode j for the
+    compiled circuit's `batch` basis inputs i."""
+    steps, outputs = compiled
+    rhos = np.zeros(batch**3, dtype=complex)
+    rhos[:: batch * batch + batch + 1] = 1.0  # operator i is |i><i|
+    rhos = _mix(steps, noise, rhos.reshape(batch, batch, batch))
+    probs = np.zeros((batch, len(window)))
+    for j, ell in enumerate(window):
+        if ell in outputs:
+            probs[:, j] = rhos[outputs[ell], :, outputs[ell]].real
     return probs
 
 
@@ -400,22 +554,21 @@ def correlation_matrix(
     Row i: inject the basis mode with logical index i, propagate, project
     onto each window mode j on the output path, and divide by the
     within-window total, so each row sums to one regardless of loss or
-    out-of-window leakage.
+    out-of-window leakage.  The rows come from one density-operator pass
+    over all inputs, or one per input on windows wider than 8 modes.
     """
     noise = NoiseParams() if noise is None else noise
-    d = circuit.dim
     window = circuit.window.oam_labels
-    matrix = np.zeros((d, d))
-    for i in range(d):
-        probs = output_mode_probabilities(
-            circuit, {(circuit.input_path, window[i]): 1.0}, noise
-        )
-        row = np.array([probs.get(ell, 0.0) for ell in window])
-        total = row.sum()
-        if total <= 0:
-            raise CircuitError(f"no amplitude reaches the window for input {i}")
-        matrix[i] = row / total
-    return matrix
+    if len(window) <= _BATCH_WINDOW:
+        probs = _detections(_compile(circuit, window), len(window), window, noise)
+    else:
+        singles = (_compile(circuit, [ell]) for ell in window)
+        probs = np.vstack([_detections(single, 1, window, noise) for single in singles])
+    totals = probs.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
+        bad = int(np.argmax(totals[:, 0] <= 0))
+        raise CircuitError(f"no amplitude reaches the window for input {bad}")
+    return probs / totals
 
 
 def efficiency(
@@ -547,6 +700,28 @@ def trace_modes(kind: str, inputs: tuple[int, ...] = (-2, -1, 0, 1)) -> tuple[in
     return tuple(out)
 
 
+def _ideal_transfer(circuit: OpticalCircuit, columns=None) -> np.ndarray:
+    """Window transfer matrix T[i, j]: amplitude at output window mode i for
+    input window mode j, with ideal noise and ideal (lossless) recombiners.
+
+    Only the logical input modes `columns` (default: all) are propagated;
+    the other columns stay zero.
+    """
+    elements = tuple(
+        replace(e, mode="ideal") if isinstance(e, Recombiner) else e
+        for e in circuit.elements
+    )
+    window = circuit.window.oam_labels
+    transfer = np.zeros((circuit.dim, circuit.dim), dtype=complex)
+    for j in range(circuit.dim) if columns is None else columns:
+        final = {(circuit.input_path, window[j]): 1.0}
+        for e in elements:
+            final = apply_element(e, final, IDEAL)
+        for i, out in enumerate(window):
+            transfer[i, j] = final.get((circuit.output_path, out), 0j)
+    return transfer
+
+
 def circuit_unitary_fidelity(circuit: OpticalCircuit, gate: np.ndarray) -> float:
     """|tr(gate^dagger T)| / d for the circuit's window transfer matrix T.
 
@@ -559,18 +734,7 @@ def circuit_unitary_fidelity(circuit: OpticalCircuit, gate: np.ndarray) -> float
     d = circuit.dim
     if gate.shape != (d, d):
         raise ValueError(f"gate shape {gate.shape} does not match dimension {d}")
-    elements = tuple(
-        replace(e, mode="ideal") if isinstance(e, Recombiner) else e
-        for e in circuit.elements
-    )
-    ideal_circuit = replace(circuit, elements=elements)
-    window = circuit.window.oam_labels
-    transfer = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        final = propagate(ideal_circuit, {(circuit.input_path, window[j]): 1.0}, IDEAL)
-        for i in range(d):
-            transfer[i, j] = final.get((circuit.output_path, window[i]), 0j)
-    return float(abs(np.trace(gate.conj().T @ transfer)) / d)
+    return float(abs(np.trace(gate.conj().T @ _ideal_transfer(circuit))) / d)
 
 
 def superposition_visibility(
@@ -579,33 +743,35 @@ def superposition_visibility(
 ) -> float:
     """Mean post-selected probability of the expected superposition output.
 
-    For the cyclic-shift circuit: inject (|a> +/- |b>)/sqrt(2) built from
-    the window's logical modes 2 and 3, project the output onto the
-    correspondingly shifted pair (logical 3 and 0) and its orthogonal
-    partner, normalize over the two projections, and average the expected
-    outcome's probability over both input signs.  1.0 for the ideal
-    circuit, 0.5 when the sorter visibility is zero (phases scrambled).
+    Inject (|a> +/- |b>)/sqrt(2) built from the window's last two logical
+    modes.  The ideal transfer matrix (as in
+    :func:`circuit_unitary_fidelity`) sends each of them to one window
+    mode, a' and b', with a relative phase phi; project the noisy output
+    onto (|a'> +/- e^{i phi} |b'>)/sqrt(2), normalize over the two
+    projections, and average the expected outcome's probability over both
+    input signs.  1.0 for the ideal circuit, 0.5 when the sorter visibility
+    is zero (phases scrambled).  Raises CircuitError if either input mode
+    does not map onto a single window mode.
     """
     noise = NoiseParams() if noise is None else noise
     w = circuit.window
-    in_a, in_b = w.to_oam(2), w.to_oam(3)
-    out_a, out_b = w.to_oam(3), w.to_oam(0)
-    values = []
-    for sign in (1.0, -1.0):
-        state = {
-            (circuit.input_path, in_a): 1 / math.sqrt(2),
-            (circuit.input_path, in_b): sign / math.sqrt(2),
-        }
-        p_plus = p_minus = 0.0
-        for weight, final in propagate_branches(circuit, state, noise):
-            amp_a = final.get((circuit.output_path, out_a), 0j)
-            amp_b = final.get((circuit.output_path, out_b), 0j)
-            p_plus += weight * abs((amp_a + amp_b) / math.sqrt(2)) ** 2
-            p_minus += weight * abs((amp_a - amp_b) / math.sqrt(2)) ** 2
-        expected = p_plus if sign > 0 else p_minus
-        orthogonal = p_minus if sign > 0 else p_plus
-        values.append(expected / (expected + orthogonal))
-    return float(np.mean(values))
+    ins = (w.dim - 2, w.dim - 1)
+    transfer = _ideal_transfer(circuit, ins)
+    outs = [int(np.argmax(np.abs(transfer[:, j]))) for j in ins]
+    for j, i in zip(ins, outs):
+        if abs(abs(transfer[i, j]) ** 2 - 1) > 1e-9:
+            raise CircuitError(
+                f"logical mode {j} does not map onto a single window mode"
+            )
+    phase = transfer[outs[1], ins[1]] / transfer[outs[0], ins[0]]
+    steps, outputs = _compile(circuit, [w.to_oam(j) for j in ins])
+    psi = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    rho = _mix(steps, noise, psi.T[:, :, None] * psi[None, :, :])
+    a, b = (outputs[w.to_oam(i)] for i in outs)
+    # <e|rho|e> / (rho_aa + rho_bb) is 1/2 + s cross for the expected outcome
+    # |e> = (|a'> + s e^{i phi} |b'>)/sqrt(2) of input sign s = +1, -1
+    cross = (phase * rho[a, :, b]).real / (rho[a, :, a] + rho[b, :, b]).real
+    return float(0.5 + (cross[0] - cross[1]) / 2)
 
 
 def mean_gate_efficiency(
@@ -629,6 +795,7 @@ def calibrate_visibility(
 ) -> NoiseParams:
     """Bisection over V until the simulated mean efficiency hits the target.
 
+    The gate circuit is compiled once and every V is evaluated on it.
     The target must lie in (0.25, 1].  Mean efficiency is checked to be
     monotone non-decreasing over V in {0, 0.1, ..., 1.0} before searching;
     targets outside the achievable range raise CalibrationError naming it.
@@ -639,8 +806,13 @@ def calibrate_visibility(
             f"{target_mean_efficiency}"
         )
 
+    window = SubspaceMap(4, -2)
+    compiled = _compile(build_gate_circuit(kind, window), window.oam_labels)
+    perm = expected_permutation(kind)
+
     def eff(v: float) -> float:
-        return mean_gate_efficiency(kind, NoiseParams(v, throughput))
+        noise = NoiseParams(v, throughput)
+        return efficiency(_detections(compiled, 4, window.oam_labels, noise), perm)[1]
 
     grid = [i / 10 for i in range(11)]
     values = [eff(v) for v in grid]

@@ -169,3 +169,20 @@ def test_stored_reference_fixture_parses():
     assert window == WINDOW
     assert matrix.shape == (4, 4)
     assert np.allclose(matrix.sum(axis=1), 10_000)
+
+
+@pytest.mark.parametrize("cell", ["-5", "nan", "inf", "-inf", "NaN"])
+def test_count_csv_rejects_negative_and_non_finite_cells(cell):
+    text = f"{CSV_CORNER},-2,-1\n-2,1,0\n-1,{cell},3\n"
+    with pytest.raises(SchemaError, match="row 1 has a negative or non-finite"):
+        count_matrix_from_csv(text)
+
+
+@pytest.mark.parametrize("phi", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_circuit_json_rejects_non_finite_phi(phi):
+    text = (
+        '{"dim": 4, "oam_offset": -2, "elements": [{"type": "phase", "path": "in", '
+        f'"phi": {phi}}}], "input": "in", "output": "in"}}'
+    )
+    with pytest.raises(SchemaError, match="'phi' must be finite"):
+        circuit_from_json(text)

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditgates import (
     IDEAL,
@@ -368,3 +372,194 @@ def test_monte_carlo_seed_determinism():
 def test_monte_carlo_validates_shots():
     with pytest.raises(ValueError, match="shots"):
         monte_carlo_counts(np.full((4, 4), 0.25), 0, seed=1)
+
+
+# --- mixture propagation against the branch enumeration --------------------
+
+
+def enumerated_probabilities(circuit, state, noise):
+    """Output-path probabilities averaged over propagate_branches."""
+    probs = {}
+    for weight, final in propagate_branches(circuit, state, noise):
+        for (path, ell), amp in final.items():
+            if path == circuit.output_path:
+                probs[ell] = probs.get(ell, 0.0) + weight * abs(amp) ** 2
+    return probs
+
+
+@st.composite
+def random_circuits(draw):
+    """Small valid circuits of every element type with at most 5 noise slots."""
+    live, elements, slots = ["in"], [], 0
+    for n in range(draw(st.integers(0, 7))):
+        kinds = ["spp", "mirror", "phase"]
+        if slots < 5:
+            kinds.append("sorter")
+            if len(live) > 1:
+                kinds.append("recombiner")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "recombiner":
+            arms = st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True)
+            a, b = draw(arms)
+            modes = ["ideal", "lossy_pbs"] if slots < 4 else ["lossy_pbs"]
+            mode = draw(st.sampled_from(modes))
+            reflect = draw(st.sampled_from(["even", "odd", "none"]))
+            elements.append(Recombiner(a, b, f"m{n}", mode=mode, reflect=reflect))
+            live = [p for p in live if p not in (a, b)] + [f"m{n}", f"m{n}.discard"]
+            slots += 2 if mode == "ideal" else 1
+            continue
+        path = draw(st.sampled_from(live))
+        if kind == "sorter":
+            parity = draw(st.sampled_from(["even", "odd"]))
+            elements.append(ParitySorter((path,), f"e{n}", f"o{n}", parity))
+            live = [p for p in live if p != path] + [f"e{n}", f"o{n}"]
+            slots += 1
+        elif kind == "spp":
+            elements.append(SpiralPhasePlate(path, draw(st.integers(-3, 3))))
+        elif kind == "mirror":
+            elements.append(Mirror(path))
+        else:
+            elements.append(PhaseShift(path, draw(st.floats(-np.pi, np.pi))))
+    output = draw(st.sampled_from(live))
+    return OpticalCircuit(4, WINDOW, tuple(elements), output_path=output)
+
+
+unit = st.floats(-1, 1, allow_nan=False)
+
+
+@st.composite
+def window_states(draw):
+    amps = [complex(draw(unit), draw(unit)) for _ in WINDOW.oam_labels]
+    norm = np.sqrt(sum(abs(a) ** 2 for a in amps))
+    if not norm:
+        return {}
+    return {("in", ell): a / norm for ell, a in zip(WINDOW.oam_labels, amps) if a}
+
+
+@settings(deadline=None)
+@given(random_circuits(), window_states(), st.floats(0, 1), st.floats(0.01, 1))
+def test_mixture_matches_branch_enumeration(circuit, state, v, throughput):
+    noise = NoiseParams(v, throughput)
+    want = enumerated_probabilities(circuit, state, noise)
+    got = output_mode_probabilities(circuit, state, noise)
+    for ell in set(want) | set(got):
+        assert got.get(ell, 0.0) == pytest.approx(want.get(ell, 0.0), abs=1e-12)
+
+
+@settings(deadline=None)
+@given(random_circuits(), st.floats(0, 1), st.floats(0.01, 1))
+def test_correlation_rows_are_distributions_for_every_visibility(circuit, v, throughput):
+    noise = NoiseParams(v, throughput)
+    try:
+        matrix = correlation_matrix(circuit, noise)
+    except CircuitError:
+        # then some window input must really leave nothing in the window
+        totals = []
+        for i in WINDOW.oam_labels:
+            probs = enumerated_probabilities(circuit, {("in", i): 1.0}, noise)
+            totals.append(sum(probs.get(ell, 0.0) for ell in WINDOW.oam_labels))
+        assert min(totals) <= 1e-12
+        return
+    assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12)
+    assert np.all(matrix >= 0)
+
+
+PATH_FIELDS = ("path", "out_even", "out_odd", "in_even", "in_odd", "out")
+
+
+def cascade(*kinds):
+    """The gate circuits `kinds` in sequence, each stage's paths renamed apart."""
+    elements, src = [], "in"
+    for s, kind in enumerate(kinds):
+        out = "out" if s == len(kinds) - 1 else f"s{s}.out"
+        names = {"in": src, "even": f"s{s}.even", "odd": f"s{s}.odd", "out": out}
+        for e in build_gate_circuit(kind, WINDOW).elements:
+            changes = {f: names[getattr(e, f)] for f in PATH_FIELDS if hasattr(e, f)}
+            if isinstance(e, ParitySorter):
+                changes["in_paths"] = tuple(names[p] for p in e.in_paths)
+            elements.append(replace(e, **changes))
+        src = out
+    return OpticalCircuit(4, WINDOW, tuple(elements))
+
+
+def test_cascade_x_x_is_exactly_x2_at_full_visibility():
+    noise = NoiseParams(1.0, 0.5)
+    want = correlation_matrix(build_gate_circuit("X2", WINDOW), noise)
+    assert np.array_equal(correlation_matrix(cascade("X", "X"), noise), want)
+
+
+def test_cascade_x_xdagger_is_exactly_identity_at_full_visibility():
+    matrix = correlation_matrix(cascade("X", "Xdagger"), NoiseParams(1.0, 0.5))
+    assert np.array_equal(matrix, np.eye(4))
+
+
+def test_noisy_cascade_matches_branch_enumeration():
+    circuit, noise = cascade("X2", "Xdagger"), NoiseParams(0.83, 0.5)
+    matrix = correlation_matrix(circuit, noise)
+    for i, ell in enumerate(WINDOW.oam_labels):
+        probs = enumerated_probabilities(circuit, {("in", ell): 1.0}, noise)
+        row = np.array([probs.get(out, 0.0) for out in WINDOW.oam_labels])
+        assert np.allclose(matrix[i], row / row.sum(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_wide_window_correlation_matches_branch_enumeration(d):
+    # d=8 goes through one batch of all inputs, d=12 one input at a time
+    window = SubspaceMap(d, -(d // 2))
+    circuit = OpticalCircuit(
+        d,
+        window,
+        (
+            SpiralPhasePlate("in", 1),
+            ParitySorter(("in",), "even", "odd"),
+            PhaseShift("odd", 0.4),
+            Recombiner("even", "odd", "out", mode="ideal"),
+        ),
+    )
+    noise = NoiseParams(0.7, 0.5)
+    matrix = correlation_matrix(circuit, noise)
+    for i, ell in enumerate(window.oam_labels):
+        probs = enumerated_probabilities(circuit, {("in", ell): 1.0}, noise)
+        row = np.array([probs.get(out, 0.0) for out in window.oam_labels])
+        assert np.allclose(matrix[i], row / row.sum(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
+def test_superposition_visibility_limits_for_every_gate(kind):
+    circuit = build_gate_circuit(kind, WINDOW)
+    assert superposition_visibility(circuit, NoiseParams(1.0, 0.5)) == pytest.approx(
+        1.0, abs=1e-12
+    )
+    assert superposition_visibility(circuit, NoiseParams(0.0, 0.5)) == pytest.approx(
+        0.5, abs=1e-12
+    )
+
+
+def test_superposition_visibility_uses_the_ideal_relative_phase():
+    # logical modes 2, 3 (OAM 0, 1) leave on OAM 0 and -1, the odd one
+    # carrying an extra phase of 0.7 rad
+    circuit = OpticalCircuit(
+        4,
+        WINDOW,
+        (
+            ParitySorter(("in",), "even", "odd"),
+            PhaseShift("odd", 0.7),
+            Recombiner("even", "odd", "out"),
+        ),
+    )
+    assert superposition_visibility(circuit, NoiseParams(1.0, 0.5)) == pytest.approx(
+        1.0, abs=1e-12
+    )
+
+
+def test_superposition_visibility_rejects_pairs_off_the_window():
+    circuit = OpticalCircuit(
+        4, WINDOW, (ParitySorter(("in",), "even", "odd"),), output_path="even"
+    )
+    with pytest.raises(CircuitError, match="logical mode 3"):
+        superposition_visibility(circuit)
+
+
+def test_apply_element_rejects_unknown_elements():
+    with pytest.raises(CircuitError, match="unknown element"):
+        apply_element("mirror", {("in", 0): 1.0})
