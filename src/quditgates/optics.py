@@ -521,28 +521,24 @@ def output_mode_probabilities(
     return {ell: p for ell, i in outputs.items() if (p := float(rho[i, i].real)) > 0}
 
 
-#: Windows of up to this many modes send all their basis inputs through one
-#: batch.  A batch of d inputs over n >= d reachable keys holds d n^2
-#: entries and costs d n^3 per step, while one input at a time costs the
-#: sum of its own, smaller n_i^3.  The batch was 2.5-3.5x faster at d <= 8
-#: and per-input faster from d ~ 24 (one BLAS thread); from d ~ 12 the
-#: batch's products are large enough for OpenBLAS to start threads, which
-#: on a loaded 2-core host took 48 ms instead of 0.3 ms.
-_BATCH_WINDOW = 8
-
-
-def _detections(compiled, batch: int, window, noise: NoiseParams) -> np.ndarray:
-    """Output-path detection probabilities P[i, j] of window mode j for the
-    compiled circuit's `batch` basis inputs i."""
+def _correlation(compiled, window, noise: NoiseParams) -> np.ndarray:
+    """Row-normalized detection probabilities of the circuit compiled for
+    every mode of `window`, from one batch holding one density operator
+    per input (see :func:`correlation_matrix`)."""
     steps, outputs = compiled
-    rhos = np.zeros(batch**3, dtype=complex)
-    rhos[:: batch * batch + batch + 1] = 1.0  # operator i is |i><i|
-    rhos = _mix(steps, noise, rhos.reshape(batch, batch, batch))
-    probs = np.zeros((batch, len(window)))
+    d = len(window)
+    rhos = np.zeros(d**3, dtype=complex)
+    rhos[:: d * d + d + 1] = 1.0  # operator i is |i><i|
+    rhos = _mix(steps, noise, rhos.reshape(d, d, d))
+    probs = np.zeros((d, d))
     for j, ell in enumerate(window):
         if ell in outputs:
             probs[:, j] = rhos[outputs[ell], :, outputs[ell]].real
-    return probs
+    totals = probs.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
+        bad = int(np.argmax(totals[:, 0] <= 0))
+        raise CircuitError(f"no amplitude reaches the window for input {bad}")
+    return probs / totals
 
 
 def correlation_matrix(
@@ -554,21 +550,13 @@ def correlation_matrix(
     Row i: inject the basis mode with logical index i, propagate, project
     onto each window mode j on the output path, and divide by the
     within-window total, so each row sums to one regardless of loss or
-    out-of-window leakage.  The rows come from one density-operator pass
-    over all inputs, or one per input on windows wider than 8 modes.
+    out-of-window leakage.  All rows come from one density-operator pass,
+    whose batch holds d n^2 entries for the n >= d keys reachable from a
+    d-mode window: sized for the 4-mode gate windows.
     """
     noise = NoiseParams() if noise is None else noise
     window = circuit.window.oam_labels
-    if len(window) <= _BATCH_WINDOW:
-        probs = _detections(_compile(circuit, window), len(window), window, noise)
-    else:
-        singles = (_compile(circuit, [ell]) for ell in window)
-        probs = np.vstack([_detections(single, 1, window, noise) for single in singles])
-    totals = probs.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0):
-        bad = int(np.argmax(totals[:, 0] <= 0))
-        raise CircuitError(f"no amplitude reaches the window for input {bad}")
-    return probs / totals
+    return _correlation(_compile(circuit, window), window, noise)
 
 
 def efficiency(
@@ -700,23 +688,19 @@ def trace_modes(kind: str, inputs: tuple[int, ...] = (-2, -1, 0, 1)) -> tuple[in
     return tuple(out)
 
 
-def _ideal_transfer(circuit: OpticalCircuit, columns=None) -> np.ndarray:
+def _ideal_transfer(circuit: OpticalCircuit) -> np.ndarray:
     """Window transfer matrix T[i, j]: amplitude at output window mode i for
     input window mode j, with ideal noise and ideal (lossless) recombiners.
-
-    Only the logical input modes `columns` (default: all) are propagated;
-    the other columns stay zero.
     """
     elements = tuple(
         replace(e, mode="ideal") if isinstance(e, Recombiner) else e
         for e in circuit.elements
     )
+    ideal_circuit = replace(circuit, elements=elements)
     window = circuit.window.oam_labels
     transfer = np.zeros((circuit.dim, circuit.dim), dtype=complex)
-    for j in range(circuit.dim) if columns is None else columns:
-        final = {(circuit.input_path, window[j]): 1.0}
-        for e in elements:
-            final = apply_element(e, final, IDEAL)
+    for j, ell in enumerate(window):
+        final = propagate(ideal_circuit, {(circuit.input_path, ell): 1.0}, IDEAL)
         for i, out in enumerate(window):
             transfer[i, j] = final.get((circuit.output_path, out), 0j)
     return transfer
@@ -756,7 +740,7 @@ def superposition_visibility(
     noise = NoiseParams() if noise is None else noise
     w = circuit.window
     ins = (w.dim - 2, w.dim - 1)
-    transfer = _ideal_transfer(circuit, ins)
+    transfer = _ideal_transfer(circuit)
     outs = [int(np.argmax(np.abs(transfer[:, j]))) for j in ins]
     for j, i in zip(ins, outs):
         if abs(abs(transfer[i, j]) ** 2 - 1) > 1e-9:
@@ -806,13 +790,14 @@ def calibrate_visibility(
             f"{target_mean_efficiency}"
         )
 
-    window = SubspaceMap(4, -2)
-    compiled = _compile(build_gate_circuit(kind, window), window.oam_labels)
+    circuit = build_gate_circuit(kind, SubspaceMap(4, -2))
+    window = circuit.window.oam_labels
+    compiled = _compile(circuit, window)
     perm = expected_permutation(kind)
 
     def eff(v: float) -> float:
         noise = NoiseParams(v, throughput)
-        return efficiency(_detections(compiled, 4, window.oam_labels, noise), perm)[1]
+        return efficiency(_correlation(compiled, window, noise), perm)[1]
 
     grid = [i / 10 for i in range(11)]
     values = [eff(v) for v in grid]

@@ -504,7 +504,6 @@ def test_noisy_cascade_matches_branch_enumeration():
 
 @pytest.mark.parametrize("d", [8, 12])
 def test_wide_window_correlation_matches_branch_enumeration(d):
-    # d=8 goes through one batch of all inputs, d=12 one input at a time
     window = SubspaceMap(d, -(d // 2))
     circuit = OpticalCircuit(
         d,
