@@ -1,14 +1,15 @@
 """Command-line front end: gate matrices, synthesis, circuit simulation.
 
 Exit codes: 0 success, 2 usage error, 3 input-file error, 4 numeric or
-calibration failure.  Machine formats (json/csv) sit behind --format;
-the default is human-readable text.  All user-facing mode labels are OAM
-labels, not logical indices.
+calibration failure or a --dim too large to allocate.  Machine formats
+(json/csv) sit behind --format; the default is human-readable text.  All
+user-facing mode labels are OAM labels, not logical indices.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -46,6 +47,10 @@ def _emit(text: str, out: str | None) -> None:
             _fail(EXIT_INPUT, f"cannot write {out}: {exc}")
 
 
+def _matrix_output(m: np.ndarray, fmt: str) -> str:
+    return formats.matrix_to_json(m) if fmt == "json" else _matrix_text(m)
+
+
 def _matrix_text(m: np.ndarray) -> str:
     cells = [[f"{x.real:+.6f}{x.imag:+.6f}j" for x in row] for row in m]
     width = max(len(c) for row in cells for c in row)
@@ -64,6 +69,15 @@ def _verify_round_trip(err: float) -> None:
     if err > 1e-10:
         _fail(EXIT_NUMERIC, f"round-trip residual {err:.3e} exceeds 1e-10")
     click.echo(f"verify: round-trip residual {err:.3e}", err=True)
+
+
+@contextmanager
+def _dense_dim(dim: int):
+    """Turn a failed allocation of the dense dim x dim matrices into exit 4."""
+    try:
+        yield
+    except MemoryError:
+        _fail(EXIT_NUMERIC, f"--dim {dim}: a {dim}x{dim} matrix does not fit in memory")
 
 
 def _require_finite(m: np.ndarray, what: str) -> None:
@@ -89,11 +103,12 @@ def main() -> None:
 def gates(dim: int, gate: str, power: int, fmt: str, out: str | None) -> None:
     """Print a generalized Pauli gate matrix raised to an integer power."""
     a, b = {"X": (power, 0), "Z": (0, power), "Y": (power, power)}[gate]
-    matrix = pauli.shift_clock(a, b, dim)
-    if gate == "Y":
-        # (XZ)^n = omega^(n(n-1)/2) X^n Z^n, the exponent reduced mod d exactly
-        matrix = matrix * np.exp(2j * np.pi * ((power * (power - 1) // 2) % dim) / dim)
-    text = formats.matrix_to_json(matrix) if fmt == "json" else _matrix_text(matrix)
+    with _dense_dim(dim):
+        matrix = pauli.shift_clock(a, b, dim)
+        if gate == "Y":
+            # (XZ)^n = omega^(n(n-1)/2) X^n Z^n, the exponent reduced mod d exactly
+            matrix *= np.exp(2j * np.pi * ((power * (power - 1) // 2) % dim) / dim)
+        text = _matrix_output(matrix, fmt)
     _emit(text, out)
 
 
@@ -118,8 +133,8 @@ def synth(
     """Decompose a matrix over the X^l Z^m basis, rebuild one from
     coefficients, or emit a seeded random unitary for pipeline tests."""
     if mode == "random-unitary":
-        matrix = weyl.random_unitary(dim, seed)
-        text = formats.matrix_to_json(matrix) if fmt == "json" else _matrix_text(matrix)
+        with _dense_dim(dim):
+            text = _matrix_output(weyl.random_unitary(dim, seed), fmt)
         _emit(text, out)
         return
     if in_path is None:
@@ -144,7 +159,7 @@ def synth(
         matrix = weyl.reconstruct(h)
         if verify:
             _verify_round_trip(float(np.linalg.norm(weyl.decompose(matrix) - h)))
-        text = formats.matrix_to_json(matrix) if fmt == "json" else _matrix_text(matrix)
+        text = _matrix_output(matrix, fmt)
     _emit(text, out)
 
 

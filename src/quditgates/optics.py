@@ -34,6 +34,10 @@ cost grows linearly with k.  Runs of noise-free elements are folded into
 the next noisy element.  Every element defines its per-key action once
 (:class:`_Element`); :func:`apply_element` and the compiler both read it.
 
+One pass can carry a batch of visibilities, its matrix products stacked
+over them; calibration evaluates in each pass every midpoint the next few
+bisection steps can visit (the first pass its monotonicity grid too).
+
 Recombiners come in two flavours: "ideal" routes by parity match like a
 reversed sorter (losslessly at V=1), while "lossy_pbs" merges both arms
 unconditionally and scales every amplitude by sqrt(throughput), modeling a
@@ -51,6 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +70,13 @@ GATE_KINDS = ("X", "X2", "Xdagger")
 _SHIFTS = {"X": 1, "X2": 2, "Xdagger": -1}
 
 
+#: Bisection levels :func:`calibrate_visibility` evaluates per pass: the
+#: 2^3 - 1 = 7 midpoints cost about 1.4 one-visibility passes, and larger
+#: batches leave the calls after a calibration slower (a paper_d4 op ran 5%
+#: slower at 4 levels and over 30% slower at 5).
+_LEVELS = 3
+
+
 class CircuitError(ValueError):
     """Raised for topologically invalid circuits or dead path references."""
 
@@ -73,10 +85,17 @@ class CalibrationError(RuntimeError):
     """Raised when visibility calibration cannot reach the requested target."""
 
 
-def _split_weights(v: float, split_sign: int) -> dict[str, complex]:
-    """Correct-port and wrong-port amplitude weights at visibility `v`."""
-    keep, leak = math.sqrt((1 + v) / 2), 1j * split_sign * math.sqrt((1 - v) / 2)
-    return {"keep": keep, "leak": leak}
+def _noise_factors(v, throughput: float) -> dict:
+    """Weight factors of the all-plus noise branch at visibility `v`, a
+    number or an array: correct port, wrong port, odd-arm phase
+    e^{i arccos v} and recombiner loss.  A minus split sign negates "leak",
+    a minus phase sign conjugates "arm"."""
+    return {
+        "keep": np.sqrt((1 + v) / 2),
+        "leak": 1j * np.sqrt((1 - v) / 2),
+        "arm": v + 1j * np.sqrt(1 - v * v),
+        "tau": math.sqrt(throughput),
+    }
 
 
 class _Element:
@@ -86,15 +105,21 @@ class _Element:
     `inputs` names the paths the element acts on; amplitudes elsewhere pass
     through untouched.  `routes(path, ell)` lists where an amplitude on an
     input path goes, each destination with the names of the weight factors
-    it is multiplied by, in order.  `weights(noise, split_sign, phase_sign)`
-    gives those factors' values on one noise branch, and `noise_slots`
-    names the element's random signs ('split', 'phase').
+    it is multiplied by, in order.  `weights(factors, split_sign, phase_sign)`
+    gives those factors' values on one noise branch from the noise's
+    :func:`_noise_factors`, and `noise_slots` names the element's random
+    signs ('split', 'phase').
     """
 
     noise_slots = ()
 
-    def weights(self, noise, split_sign, phase_sign):
-        return {}
+    def weights(self, factors, split_sign, phase_sign):
+        w = dict(factors)
+        if split_sign < 0:
+            w["leak"] = -w["leak"]
+        if phase_sign < 0:
+            w["arm"] = w["arm"].conjugate()
+        return w
 
 
 class _OnePath(_Element):
@@ -158,9 +183,6 @@ class ParitySorter(_Element):
             ((wrong, -ell if wrong == flip else ell), ("leak",)),
         )
 
-    def weights(self, noise, split_sign, phase_sign):
-        return _split_weights(noise.visibility, split_sign)
-
 
 @dataclass(frozen=True)
 class Recombiner(_Element):
@@ -203,11 +225,6 @@ class Recombiner(_Element):
         rejected = (_discard_path(self.out), key[1])
         return ((key, (*phase, out)), (rejected, (*phase, discard)))
 
-    def weights(self, noise, split_sign, phase_sign):
-        arm = complex(np.exp(1j * phase_sign * math.acos(noise.visibility)))
-        tau = math.sqrt(noise.throughput)
-        return {"arm": arm, "tau": tau, **_split_weights(noise.visibility, split_sign)}
-
 
 @dataclass(frozen=True)
 class PhaseShift(_OnePath):
@@ -219,7 +236,7 @@ class PhaseShift(_OnePath):
     def routes(self, path, ell):
         return (((path, ell), ("phase",)),)
 
-    def weights(self, noise, split_sign, phase_sign):
+    def weights(self, factors, split_sign, phase_sign):
         return {"phase": complex(np.exp(1j * self.phi))}
 
 
@@ -242,6 +259,11 @@ class NoiseParams:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
         if not 0.0 < self.throughput <= 1.0:
             raise ValueError(f"throughput must lie in (0, 1], got {self.throughput}")
+
+    @cached_property
+    def _factors(self) -> dict[str, complex]:
+        factors = _noise_factors(self.visibility, self.throughput)
+        return {name: complex(x) for name, x in factors.items()}
 
 
 #: Noise-free parameters (lossless recombination included).
@@ -349,7 +371,7 @@ def apply_element(
     """
     if not isinstance(element, _Element):
         raise CircuitError(f"unknown element {element!r}")
-    weights = element.weights(noise, split_sign, phase_sign)
+    weights = element.weights(noise._factors, split_sign, phase_sign)
     inputs, routes = element.inputs, element.routes
     out: Amplitudes = {}
     for key, amp in state.items():
@@ -369,13 +391,13 @@ def total_probability(state: Amplitudes) -> float:
     return float(sum(abs(a) ** 2 for a in state.values()))
 
 
-def _sign_patterns(slots: list, noise: NoiseParams) -> list[dict]:
+def _sign_patterns(slots: list, ideal: bool) -> list[dict]:
     """Every +/- assignment to the noise `slots`, as slot -> sign maps.
 
-    At V=1 every assignment gives the same result, so only the all-plus
-    one (the empty map, as missing signs default to +1) is returned.
+    At V=1 (`ideal`) every assignment gives the same result, so only the
+    all-plus one (the empty map, as missing signs default to +1) is returned.
     """
-    if noise.visibility == 1.0:
+    if ideal:
         return [{}]
     return [dict(zip(slots, p)) for p in itertools.product((1, -1), repeat=len(slots))]
 
@@ -430,7 +452,7 @@ def propagate_branches(
     use the equivalent density-operator pass, and this stays as its oracle.
     """
     slots = [(pos, s) for pos, e in enumerate(circuit.elements) for s in e.noise_slots]
-    patterns = _sign_patterns(slots, noise)
+    patterns = _sign_patterns(slots, noise.visibility == 1.0)
     return [(1.0 / len(patterns), propagate(circuit, state, noise, s)) for s in patterns]
 
 
@@ -442,8 +464,9 @@ def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
     operator holding the constant weights of the routes whose element
     weight factors are `factors[f]`.  Noise-free elements map keys one to
     one, so they fold into the next noisy element's step (or one final
-    step with a bare `_Element`).  Keys on paths that no later element
-    reads, other than the output path, are dropped as soon as they appear.
+    step with a bare `_Element`, also the only step of a circuit without
+    noise).  Keys on paths that no later element reads, other than the
+    output path, are dropped as soon as they appear.
     """
     needed = [{circuit.output_path}]
     for e in reversed(circuit.elements[1:]):
@@ -455,7 +478,7 @@ def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
     steps = []
 
     def add_step(element, routes):
-        factors = sorted({fs for _, _, _, fs in routes})
+        factors = sorted({fs for _, _, _, fs in routes}) or [()]
         basis = np.zeros((len(factors), len(keys), len(identity)), dtype=complex)
         for src, dst, c, fs in routes:
             basis[factors.index(fs), dst, src] = c
@@ -472,37 +495,51 @@ def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
             add_step(e, routes)
             origin = identity = [(i, 1.0) for i in range(len(keys))]
         else:
-            w = e.weights(IDEAL, 1, 1)
+            w = e.weights(IDEAL._factors, 1, 1)
             origin = [
                 (src, c * math.prod(map(w.__getitem__, fs))) for src, _, c, fs in routes
             ]
-    if origin != identity:
+    if origin != identity or not steps:
         add_step(_Element(), [(src, dst, c, ()) for dst, (src, c) in enumerate(origin)])
     out = circuit.output_path
     return steps, {ell: i for i, (path, ell) in enumerate(keys) if path == out}
 
 
-def _mix(steps: list, noise: NoiseParams, rhos: np.ndarray) -> np.ndarray:
+def _mix(steps: list, v, throughput: float, rhos: np.ndarray) -> np.ndarray:
     """Propagate a batch of density operators, `rhos[a, b, c]` = entry
-    (a, c) of operator b, mapping each at every step to the mean of
-    K rho K^dagger over the step's Kraus operators K, one per sign pattern
-    of the element's noise slots.  Two matrix products per step cover the
-    whole batch and all K.
+    (a, c) of operator b, at visibility `v` or at each visibility of a 1-D
+    array `v`: `out[k, a, b, c]` is the batch at visibility k.
+
+    Each step maps every operator to the mean of K rho K^dagger over the
+    step's Kraus operators K, one per sign pattern of the element's noise
+    slots.  Two matrix products per step, stacked over the visibilities,
+    cover the whole batch and all K (the first is a single product while
+    the visibilities share the batch).
     """
-    batch = rhos.shape[1]
-    for e, factors, basis in steps:
-        table = []
-        for signs in _sign_patterns(e.noise_slots, noise):
-            w = e.weights(noise, signs.get("split", 1), signs.get("phase", 1))
-            table.append([math.prod(map(w.__getitem__, fs)) for fs in factors])
-        m, (f, n_out, n_in) = len(table), basis.shape
-        ops = np.array(table, dtype=complex) @ basis.reshape(f, n_out * n_in)
-        ops = ops.reshape(m, n_out, n_in)
-        left = ops.reshape(m * n_out, n_in) @ rhos.reshape(n_in, batch * n_in)
-        left = left.reshape(m, n_out * batch, n_in).transpose(1, 0, 2)
-        ops_h = ops.conj().transpose(0, 2, 1).reshape(m * n_in, n_out) / m
-        rhos = left.reshape(n_out * batch, m * n_in) @ ops_h
-        rhos = rhos.reshape(n_out, batch, n_out)
+    factors = _noise_factors(v, throughput)
+    ideal = not isinstance(v, np.ndarray) and v == 1.0  # a batch takes every pattern
+    one = 1 + 0 * v  # the empty product, shaped like v
+    batch, rhos = rhos.shape[1], rhos[None]
+    for e, names, basis in steps:
+        ws = [
+            e.weights(factors, signs.get("split", 1), signs.get("phase", 1))
+            for signs in _sign_patterns(e.noise_slots, ideal)
+        ]
+        table = [
+            [math.prod(map(w.__getitem__, fs), start=one) for w in ws] for fs in names
+        ]
+        (f, n_out, n_in), m, r = basis.shape, len(ws), len(rhos)
+        table = np.array(table, dtype=complex).reshape(f, m, -1).T  # [k, pattern, f]
+        nv = len(table)
+        ops = table.reshape(nv * m, f) @ basis.reshape(f, n_out * n_in)
+        rhos = rhos.reshape(r, n_in, batch * n_in)
+        left = ops.reshape(r, nv // r * m * n_out, n_in) @ rhos
+        left = left.reshape(nv, m, n_out * batch, n_in).transpose(0, 2, 1, 3)
+        ops_h = ops.reshape(nv, m, n_out, n_in).conj().transpose(0, 1, 3, 2)
+        ops_h = ops_h.reshape(nv, m * n_in, n_out)
+        ops_h /= m
+        rhos = left.reshape(nv, n_out * batch, m * n_in) @ ops_h
+        rhos = rhos.reshape(nv, n_out, batch, n_out)
     return rhos
 
 
@@ -517,26 +554,28 @@ def output_mode_probabilities(
     _check_input(circuit, state)
     steps, outputs = _compile(circuit, [ell for _, ell in state])
     psi = np.array(list(state.values()), dtype=complex)
-    rho = _mix(steps, noise, np.outer(psi, psi.conj())[:, None])[:, 0]
+    rho = np.outer(psi, psi.conj())[:, None]
+    rho = _mix(steps, noise.visibility, noise.throughput, rho)[0, :, 0]
     return {ell: p for ell, i in outputs.items() if (p := float(rho[i, i].real)) > 0}
 
 
-def _correlation(compiled, window, noise: NoiseParams) -> np.ndarray:
+def _correlation(compiled, window, v, throughput: float) -> np.ndarray:
     """Row-normalized detection probabilities of the circuit compiled for
-    every mode of `window`, from one batch holding one density operator
-    per input (see :func:`correlation_matrix`)."""
+    every mode of `window`, one matrix per visibility of `v` (see
+    :func:`_mix`), from one batch holding one density operator per input
+    (see :func:`correlation_matrix`)."""
     steps, outputs = compiled
     d = len(window)
     rhos = np.zeros(d**3, dtype=complex)
     rhos[:: d * d + d + 1] = 1.0  # operator i is |i><i|
-    rhos = _mix(steps, noise, rhos.reshape(d, d, d))
-    probs = np.zeros((d, d))
+    rhos = _mix(steps, v, throughput, rhos.reshape(d, d, d))
+    probs = np.zeros((len(rhos), d, d))
     for j, ell in enumerate(window):
         if ell in outputs:
-            probs[:, j] = rhos[outputs[ell], :, outputs[ell]].real
-    totals = probs.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0):
-        bad = int(np.argmax(totals[:, 0] <= 0))
+            probs[:, :, j] = rhos[:, outputs[ell], :, outputs[ell]].real
+    totals = probs.sum(axis=2, keepdims=True)
+    if (totals <= 0).any():
+        bad = int(np.nonzero(totals <= 0)[1][0])
         raise CircuitError(f"no amplitude reaches the window for input {bad}")
     return probs / totals
 
@@ -556,7 +595,8 @@ def correlation_matrix(
     """
     noise = NoiseParams() if noise is None else noise
     window = circuit.window.oam_labels
-    return _correlation(_compile(circuit, window), window, noise)
+    compiled = _compile(circuit, window)
+    return _correlation(compiled, window, noise.visibility, noise.throughput)[0]
 
 
 def efficiency(
@@ -566,8 +606,8 @@ def efficiency(
     """Per-input efficiencies and their mean.
 
     E_i = matrix[i, expected[i]] / sum_j matrix[i, j]; accepts probability
-    or count form.  A zero row total leaves the efficiency undefined and
-    raises ValueError.
+    or count form.  Every expected column must be an integer in [0, d), and
+    a zero row total leaves the efficiency undefined; both raise ValueError.
     """
     m = np.asarray(matrix, dtype=float)
     expected = list(expected)
@@ -575,12 +615,22 @@ def efficiency(
         raise ValueError(
             f"expected permutation of length {m.shape[0]}, got {len(expected)}"
         )
-    totals = m.sum(axis=1)
-    if np.any(totals <= 0):
-        bad = int(np.nonzero(totals <= 0)[0][0])
-        raise ValueError(f"efficiency undefined: row {bad} has zero total counts")
-    per_input = np.array([m[i, expected[i]] / totals[i] for i in range(m.shape[0])])
+    d = m.shape[1]
+    for i, col in enumerate(expected):
+        if not isinstance(col, (int, np.integer)) or not 0 <= col < d:
+            raise ValueError(f"expected[{i}] = {col!r} is not an integer in [0, {d})")
+    per_input = _efficiencies(m, expected)
     return per_input, float(per_input.mean())
+
+
+def _efficiencies(m: np.ndarray, expected: list[int]) -> np.ndarray:
+    """m[..., i, expected[i]] / sum_j m[..., i, j] for every row i, of one
+    matrix or a stack of them; a zero row total raises ValueError."""
+    totals = m.sum(axis=-1)
+    if (totals <= 0).any():
+        bad = int(np.nonzero(totals <= 0)[-1][0])
+        raise ValueError(f"efficiency undefined: row {bad} has zero total counts")
+    return m[..., np.arange(len(expected)), expected] / totals
 
 
 def expected_permutation(kind: str, d: int = 4) -> list[int]:
@@ -750,7 +800,7 @@ def superposition_visibility(
     phase = transfer[outs[1], ins[1]] / transfer[outs[0], ins[0]]
     steps, outputs = _compile(circuit, [w.to_oam(j) for j in ins])
     psi = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    rho = _mix(steps, noise, psi.T[:, :, None] * psi[None, :, :])
+    rho = _mix(steps, noise.visibility, noise.throughput, psi.T[:, :, None] * psi)[0]
     a, b = (outputs[w.to_oam(i)] for i in outs)
     # <e|rho|e> / (rho_aa + rho_bb) is 1/2 + s cross for the expected outcome
     # |e> = (|a'> + s e^{i phi} |b'>)/sqrt(2) of input sign s = +1, -1
@@ -779,11 +829,17 @@ def calibrate_visibility(
 ) -> NoiseParams:
     """Bisection over V until the simulated mean efficiency hits the target.
 
-    The gate circuit is compiled once and every V is evaluated on it.
-    The target must lie in (0.25, 1].  Mean efficiency is checked to be
-    monotone non-decreasing over V in {0, 0.1, ..., 1.0} before searching;
-    targets outside the achievable range raise CalibrationError naming it.
+    The target must lie in (0.25, 1] and `tol` must be finite and
+    non-negative.  Mean efficiency is checked to be monotone non-decreasing
+    over V in {0, 0.1, ..., 1.0} before searching; targets outside the
+    achievable range raise CalibrationError naming it.
+
+    The gate circuit is compiled once; each pass evaluates on it every
+    midpoint the next `_LEVELS` bisection steps can visit (the first pass
+    the grid as well), and the steps then read their decisions from it.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if not 0.25 < target_mean_efficiency <= 1.0:
         raise CalibrationError(
             f"target mean efficiency must lie in (0.25, 1], got "
@@ -791,17 +847,28 @@ def calibrate_visibility(
         )
 
     circuit = build_gate_circuit(kind, SubspaceMap(4, -2))
+    NoiseParams(1.0, throughput)  # validates the throughput
     window = circuit.window.oam_labels
     compiled = _compile(circuit, window)
-    perm = expected_permutation(kind)
+    perm = np.array(expected_permutation(kind))
 
-    def eff(v: float) -> float:
-        noise = NoiseParams(v, throughput)
-        return efficiency(_correlation(compiled, window, noise), perm)[1]
+    def effs(vs: list[float]) -> np.ndarray:
+        probs = _correlation(compiled, window, np.array(vs), throughput)
+        return _efficiencies(probs, perm).mean(axis=1)
 
-    grid = [i / 10 for i in range(11)]
-    values = [eff(v) for v in grid]
-    if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
+    def tree(lo: float, hi: float) -> tuple[list, list]:
+        # node k halves bounds[k]: its lower half is node 2k+1, its upper
+        # half node 2k+2 (bounds grows while it is read)
+        bounds = [(lo, hi)]
+        for a, b in itertools.islice(bounds, 2**_LEVELS - 1):
+            bounds += [(a, (a + b) / 2), ((a + b) / 2, b)]
+        return bounds, [(a + b) / 2 for a, b in bounds[: 2**_LEVELS - 1]]
+
+    bounds, mids = tree(0.0, 1.0)
+    # the grid and the first bisection levels share one pass
+    values = effs([i / 10 for i in range(11)] + mids)
+    values, mid_values = values[:11], values[11:]
+    if np.any(values[1:] < values[:-1] - 1e-12):
         raise CalibrationError("mean efficiency is not monotone in visibility")
     lo_eff, hi_eff = values[0], values[-1]
     if not lo_eff - tol <= target_mean_efficiency <= hi_eff + tol:
@@ -812,16 +879,15 @@ def calibrate_visibility(
     for v_exact, e_exact in ((1.0, hi_eff), (0.0, lo_eff)):
         if abs(e_exact - target_mean_efficiency) <= tol:
             return NoiseParams(v_exact, throughput)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        e = eff(mid)
-        if abs(e - target_mean_efficiency) <= tol:
-            return NoiseParams(mid, throughput)
-        if e < target_mean_efficiency:
-            lo = mid
-        else:
-            hi = mid
+    k = 0
+    for done in range(0, 200, _LEVELS):
+        if done:
+            bounds, mids = tree(*bounds[k])
+            mid_values, k = effs(mids), 0
+        for _ in range(min(_LEVELS, 200 - done)):
+            if abs(mid_values[k] - target_mean_efficiency) <= tol:
+                return NoiseParams(mids[k], throughput)
+            k = 2 * k + (2 if mid_values[k] < target_mean_efficiency else 1)
     raise CalibrationError(
         f"bisection failed to reach target {target_mean_efficiency} within {tol}"
     )

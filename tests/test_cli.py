@@ -99,6 +99,17 @@ def test_synth_round_trip_verify(runner, tmp_path):
     )
 
 
+@pytest.mark.parametrize("args", [
+    ["gates", "--gate", "X"],
+    ["synth", "random-unitary"],
+])
+def test_dimension_too_large_to_allocate_exits_4(runner, args):
+    # the dense 10^7 x 10^7 complex matrix (1.4 PiB) is refused at once
+    result = runner.invoke(main, [*args, "--dim", "10000000"])
+    assert result.exit_code == 4
+    assert result.stderr.startswith("error: --dim 10000000:")
+
+
 def test_synth_requires_input_file(runner):
     result = runner.invoke(main, ["synth", "decompose"])
     assert result.exit_code == 2

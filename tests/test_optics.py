@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditgates import optics
 from quditgates import (
     IDEAL,
     CalibrationError,
@@ -104,6 +105,17 @@ def test_sorter_routing_and_leakage():
     assert abs(out[("odd", 2)]) ** 2 == pytest.approx(0.1, abs=1e-12)
     assert abs(out[("even", -2)]) ** 2 == pytest.approx(0.9, abs=1e-12)
     assert total_probability(out) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_noise_branch_signs_flip_the_leak_and_the_arm_phase(sign):
+    v, noise = 0.6, NoiseParams(0.6, 1.0)
+    sorter = ParitySorter(("in",), "even", "odd", reflected_parity="even")
+    out = apply_element(sorter, {("in", 2): 1.0 + 0j}, noise, split_sign=sign)
+    assert out[("odd", 2)] == pytest.approx(sign * 1j * np.sqrt((1 - v) / 2), abs=1e-15)
+    merge = Recombiner("even", "odd", "out", mode="lossy_pbs", reflect="odd")
+    out = apply_element(merge, {("odd", 1): 1.0 + 0j}, noise, phase_sign=sign)
+    assert out[("out", -1)] == pytest.approx(np.exp(sign * 1j * np.arccos(v)), abs=1e-15)
 
 
 def test_sorter_leak_into_reflected_port_is_reflected():
@@ -221,6 +233,14 @@ def test_efficiency_examples():
     assert mean == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize(
+    "expected", [[-4, -3, -2, -1], [4, 2, 3, 0], [1.0, 2, 3, 0], [0, 1, 2, "3"]]
+)
+def test_efficiency_rejects_columns_outside_the_matrix(expected):
+    with pytest.raises(ValueError, match=r"expected\[[03]\] = .* not an integer in \[0, 4\)"):
+        efficiency(np.eye(4), expected)
+
+
 def test_efficiency_zero_row_is_an_error():
     m = np.eye(4)
     m[2] = 0.0
@@ -258,6 +278,12 @@ def test_calibrate_visibility_rejects_boundary_target():
 def test_calibrate_visibility_reports_achievable_range():
     with pytest.raises(CalibrationError, match="achievable"):
         calibrate_visibility("X", 0.4)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-4])
+def test_calibrate_visibility_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        calibrate_visibility("X", 0.873, tol=tol)
 
 
 def test_superposition_visibility_limits():
@@ -562,3 +588,135 @@ def test_superposition_visibility_rejects_pairs_off_the_window():
 def test_apply_element_rejects_unknown_elements():
     with pytest.raises(CircuitError, match="unknown element"):
         apply_element("mirror", {("in", 0): 1.0})
+
+
+# --- batched visibilities ----------------------------------------------------
+
+
+def sequential_calibration(kind, target, *, throughput=0.5, tol=1e-4):
+    """calibrate_visibility one V at a time over the public
+    mean_gate_efficiency: the same grid check, endpoint shortcuts,
+    midpoints, 200-step cap and error messages."""
+    if not 0.25 < target <= 1.0:
+        raise CalibrationError(
+            f"target mean efficiency must lie in (0.25, 1], got {target}"
+        )
+
+    def eff(v):
+        return mean_gate_efficiency(kind, NoiseParams(v, throughput))
+
+    values = [eff(i / 10) for i in range(11)]
+    if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
+        raise CalibrationError("mean efficiency is not monotone in visibility")
+    lo_eff, hi_eff = values[0], values[-1]
+    if not lo_eff - tol <= target <= hi_eff + tol:
+        raise CalibrationError(
+            f"target {target} unreachable; achievable mean "
+            f"efficiency range is [{lo_eff:.4f}, {hi_eff:.4f}]"
+        )
+    for v_exact, e_exact in ((1.0, hi_eff), (0.0, lo_eff)):
+        if abs(e_exact - target) <= tol:
+            return NoiseParams(v_exact, throughput)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        e = eff(mid)
+        if abs(e - target) <= tol:
+            return NoiseParams(mid, throughput)
+        lo, hi = (mid, hi) if e < target else (lo, mid)
+    raise CalibrationError(f"bisection failed to reach target {target} within {tol}")
+
+
+def outcome(calibrate, *args, **kwargs):
+    try:
+        return calibrate(*args, **kwargs)
+    except CalibrationError as exc:
+        return f"CalibrationError: {exc}"
+
+
+PAPER_TARGETS = [("X", 0.873), ("X2", 0.904), ("Xdagger", 0.884)]
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-7])
+@pytest.mark.parametrize("kind,target", PAPER_TARGETS)
+def test_calibration_matches_sequential_bisection(kind, target, tol):
+    want = sequential_calibration(kind, target, tol=tol)
+    assert calibrate_visibility(kind, target, tol=tol) == want
+
+
+@pytest.mark.parametrize("levels", [1, 2, 4, 5])
+def test_calibration_is_the_same_for_every_tree_depth(monkeypatch, levels):
+    monkeypatch.setattr(optics, "_LEVELS", levels)
+    for kind, target in PAPER_TARGETS:
+        want = sequential_calibration(kind, target, tol=1e-7)
+        assert calibrate_visibility(kind, target, tol=1e-7) == want
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+def test_calibration_stops_after_200_bisection_steps(monkeypatch, levels):
+    # efficiency steps from 0.5 to 1 at V = 1/3, so the bisection closes in
+    # on 1/3 without ever coming within tol of the target 0.75
+    perm, passes = expected_permutation("X"), []
+
+    def step_correlation(compiled, window, vs, throughput):
+        passes.append(len(vs))
+        e = np.where(vs < 1 / 3, 0.5, 1.0)[:, None]
+        probs = np.zeros((len(vs), 4, 4))
+        probs[:, range(4), perm] = e
+        probs[:, range(4), np.roll(perm, 1)] = 1 - e
+        return probs
+
+    monkeypatch.setattr(optics, "_LEVELS", levels)
+    monkeypatch.setattr(optics, "_correlation", step_correlation)
+    with pytest.raises(CalibrationError, match="bisection failed"):
+        calibrate_visibility("X", 0.75)
+    tree = 2**levels - 1
+    assert passes == [11 + tree] + [tree] * (-(-200 // levels) - 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["X", "X2", "Xdagger"]),
+    st.floats(0.7, 1.0),
+    st.floats(0.05, 1.0),
+    st.sampled_from([1e-3, 1e-4, 1e-6]),
+)
+def test_calibration_sweep_matches_sequential_bisection(kind, target, throughput, tol):
+    # every kind reaches mean efficiencies from 0.75 (V=0) to 1 (V=1); the
+    # targets just below that range check the unreachable error as well
+    kwargs = {"throughput": throughput, "tol": tol}
+    want = outcome(sequential_calibration, kind, target, **kwargs)
+    assert outcome(calibrate_visibility, kind, target, **kwargs) == want
+
+
+def batch_correlation(circuit, visibilities, throughput):
+    window = circuit.window.oam_labels
+    compiled = optics._compile(circuit, window)
+    return optics._correlation(compiled, window, np.array(visibilities), throughput)
+
+
+@pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
+def test_visibility_batch_matches_one_visibility_at_a_time(kind):
+    circuit, vs = build_gate_circuit(kind, WINDOW), [0.0, 0.3, 0.87, 1.0]
+    batch = batch_correlation(circuit, vs, 0.5)
+    for v, matrix in zip(vs, batch):
+        want = correlation_matrix(circuit, NoiseParams(v, 0.5))
+        assert np.allclose(matrix, want, rtol=0, atol=1e-12)
+    permutation = np.eye(4)[expected_permutation(kind)]
+    assert np.array_equal(batch[-1], permutation)
+
+
+@settings(deadline=None)
+@given(random_circuits(), st.lists(st.floats(0, 1), min_size=1, max_size=5), st.floats(0.01, 1))
+def test_visibility_batch_matches_on_random_circuits(circuit, vs, throughput):
+    singles = []
+    for v in vs:
+        try:
+            singles.append(correlation_matrix(circuit, NoiseParams(v, throughput)))
+        except CircuitError:
+            with pytest.raises(CircuitError):
+                batch_correlation(circuit, vs, throughput)
+            return
+    batch = batch_correlation(circuit, vs, throughput)
+    assert batch.shape == (len(vs), 4, 4)
+    assert np.allclose(batch, singles, rtol=0, atol=1e-12)
