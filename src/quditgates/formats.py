@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .optics import (
+    _check_cells,
     Mirror,
     OpticalCircuit,
     ParitySorter,
@@ -64,6 +65,13 @@ def _real_table(data: dict, field: str, d: int, context: str) -> list[list[float
     return table
 
 
+def _complex_table(re: list[list[float]], im: list[list[float]]) -> np.ndarray:
+    """re + i im, built part by part so that signed zeros survive."""
+    table = np.empty((len(re), len(re)), dtype=complex)
+    table.real, table.imag = re, im
+    return table
+
+
 def matrix_to_json(matrix: np.ndarray) -> str:
     """Serialize a complex matrix to the shared matrix schema."""
     m = np.asarray(matrix, dtype=complex)
@@ -89,7 +97,7 @@ def matrix_from_json(text: str) -> np.ndarray:
         raise SchemaError("matrix file: field 'dim' must be positive")
     re = _real_table(data, "re", d, "matrix file")
     im = _real_table(data, "im", d, "matrix file")
-    return np.array(re) + 1j * np.array(im)
+    return _complex_table(re, im)
 
 
 def coefficients_to_json(h: np.ndarray) -> str:
@@ -117,7 +125,7 @@ def coefficients_from_json(text: str) -> np.ndarray:
         raise SchemaError("coefficient file: field 'dim' must be positive")
     re = _real_table(data, "h_re", d, "coefficient file")
     im = _real_table(data, "h_im", d, "coefficient file")
-    return np.array(re) + 1j * np.array(im)
+    return _complex_table(re, im)
 
 
 def _element_to_dict(e) -> dict:
@@ -223,11 +231,16 @@ CSV_CORNER = "input\\output"
 
 
 def count_matrix_to_csv(matrix: np.ndarray, window: SubspaceMap) -> str:
-    """CSV with OAM-labeled rows/columns; 6 decimals for probabilities."""
+    """CSV with OAM-labeled rows/columns; 6 decimals for probabilities.
+
+    A negative or non-finite cell, which :func:`count_matrix_from_csv`
+    would reject, raises ValueError.
+    """
     m = np.asarray(matrix)
     labels = window.oam_labels
     if m.shape != (window.dim, window.dim):
         raise ValueError(f"matrix shape {m.shape} does not match window {labels}")
+    _check_cells(m.astype(float), "count matrix")
     integer = np.issubdtype(m.dtype, np.integer)
     lines = [",".join([CSV_CORNER, *[str(l) for l in labels]])]
     for i, row in enumerate(m):

@@ -34,9 +34,11 @@ cost grows linearly with k.  Runs of noise-free elements are folded into
 the next noisy element.  Every element defines its per-key action once
 (:class:`_Element`); :func:`apply_element` and the compiler both read it.
 
-One pass can carry a batch of visibilities, its matrix products stacked
-over them; calibration evaluates in each pass every midpoint the next few
-bisection steps can visit (the first pass its monotonicity grid too).
+A bounded cache keyed by the frozen circuit keeps its compiled form and
+ideal window transfer.  One pass can carry a batch of visibilities.  Each
+noise slot's averaged map is affine in V, so window probabilities are
+polynomials in V of degree <= k: calibration fits them from one pass at
+k + 1 visibilities and solves E(V) = target on that closed form.
 
 Recombiners come in two flavours: "ideal" routes by parity match like a
 reversed sorter (losslessly at V=1), while "lossy_pbs" merges both arms
@@ -52,6 +54,7 @@ functions are pure.  Monte Carlo counts derive one substream per
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -70,11 +73,11 @@ GATE_KINDS = ("X", "X2", "Xdagger")
 _SHIFTS = {"X": 1, "X2": 2, "Xdagger": -1}
 
 
-#: Bisection levels :func:`calibrate_visibility` evaluates per pass: the
-#: 2^3 - 1 = 7 midpoints cost about 1.4 one-visibility passes, and larger
-#: batches leave the calls after a calibration slower (a paper_d4 op ran 5%
-#: slower at 4 levels and over 30% slower at 5).
-_LEVELS = 3
+#: Entries of each compiled-form cache: room for the three gate circuits on
+#: a few windows and a few dozen cascades of them.
+_CACHE_SIZE = 64
+#: Visibilities of the calibration grid: V = 0, 0.1, ..., 1.
+_GRID = np.arange(11) / 10
 
 
 class CircuitError(ValueError):
@@ -482,6 +485,7 @@ def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
         basis = np.zeros((len(factors), len(keys), len(identity)), dtype=complex)
         for src, dst, c, fs in routes:
             basis[factors.index(fs), dst, src] = c
+        basis.flags.writeable = False  # steps may be cached and shared
         steps.append((element, factors, basis))
 
     for e, paths in zip(circuit.elements, reversed(needed)):
@@ -503,6 +507,33 @@ def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
         add_step(_Element(), [(src, dst, c, ()) for dst, (src, c) in enumerate(origin)])
     out = circuit.output_path
     return steps, {ell: i for i, (path, ell) in enumerate(keys) if path == out}
+
+
+class _Compiled:
+    """A circuit compiled for its window labels (:func:`_compile`), with its
+    ideal window transfer worked out on first use; both are read-only."""
+
+    def __init__(self, circuit: OpticalCircuit) -> None:
+        self.circuit = circuit
+        self.steps, self.outputs = _compile(circuit, circuit.window.oam_labels)
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        transfer = _ideal_transfer(self.circuit)
+        transfer.flags.writeable = False
+        return transfer
+
+
+_compiled_cached = functools.lru_cache(maxsize=_CACHE_SIZE)(_Compiled)
+
+
+def _compiled(circuit: OpticalCircuit) -> _Compiled:
+    """The cached :class:`_Compiled` of `circuit`, or a fresh one for a
+    circuit with an unhashable field (a list of sorter inputs, say)."""
+    try:
+        return _compiled_cached(circuit)
+    except TypeError:
+        return _Compiled(circuit)
 
 
 def _mix(steps: list, v, throughput: float, rhos: np.ndarray) -> np.ndarray:
@@ -559,12 +590,11 @@ def output_mode_probabilities(
     return {ell: p for ell, i in outputs.items() if (p := float(rho[i, i].real)) > 0}
 
 
-def _correlation(compiled, window, v, throughput: float) -> np.ndarray:
-    """Row-normalized detection probabilities of the circuit compiled for
-    every mode of `window`, one matrix per visibility of `v` (see
-    :func:`_mix`), from one batch holding one density operator per input
-    (see :func:`correlation_matrix`)."""
-    steps, outputs = compiled
+def _window_probs(steps: list, outputs: dict, window, v, throughput: float) -> np.ndarray:
+    """Detection probabilities P[k, i, j] at window mode j for input window
+    mode i at visibility k of `v` (see :func:`_mix`), of the steps compiled
+    for every mode of `window`, from one batch holding one density operator
+    per input; not normalized."""
     d = len(window)
     rhos = np.zeros(d**3, dtype=complex)
     rhos[:: d * d + d + 1] = 1.0  # operator i is |i><i|
@@ -573,6 +603,12 @@ def _correlation(compiled, window, v, throughput: float) -> np.ndarray:
     for j, ell in enumerate(window):
         if ell in outputs:
             probs[:, :, j] = rhos[:, outputs[ell], :, outputs[ell]].real
+    return probs
+
+
+def _correlation(steps: list, outputs: dict, window, v, throughput: float) -> np.ndarray:
+    """:func:`_window_probs` normalized per row (see :func:`correlation_matrix`)."""
+    probs = _window_probs(steps, outputs, window, v, throughput)
     totals = probs.sum(axis=2, keepdims=True)
     if (totals <= 0).any():
         bad = int(np.nonzero(totals <= 0)[1][0])
@@ -594,9 +630,9 @@ def correlation_matrix(
     d-mode window: sized for the 4-mode gate windows.
     """
     noise = NoiseParams() if noise is None else noise
+    c = _compiled(circuit)
     window = circuit.window.oam_labels
-    compiled = _compile(circuit, window)
-    return _correlation(compiled, window, noise.visibility, noise.throughput)[0]
+    return _correlation(c.steps, c.outputs, window, noise.visibility, noise.throughput)[0]
 
 
 def efficiency(
@@ -606,8 +642,9 @@ def efficiency(
     """Per-input efficiencies and their mean.
 
     E_i = matrix[i, expected[i]] / sum_j matrix[i, j]; accepts probability
-    or count form.  Every expected column must be an integer in [0, d), and
-    a zero row total leaves the efficiency undefined; both raise ValueError.
+    or count form.  Every expected column must be an integer in [0, d),
+    every entry finite and non-negative, and a zero row total leaves the
+    efficiency undefined; each raises ValueError.
     """
     m = np.asarray(matrix, dtype=float)
     expected = list(expected)
@@ -619,18 +656,25 @@ def efficiency(
     for i, col in enumerate(expected):
         if not isinstance(col, (int, np.integer)) or not 0 <= col < d:
             raise ValueError(f"expected[{i}] = {col!r} is not an integer in [0, {d})")
-    per_input = _efficiencies(m, expected)
+    _check_cells(m, "efficiency undefined")
+    totals = m.sum(axis=1)
+    if (totals <= 0).any():
+        bad = int(np.nonzero(totals <= 0)[0][0])
+        raise ValueError(f"efficiency undefined: row {bad} has zero total counts")
+    per_input = m[np.arange(len(expected)), expected] / totals
     return per_input, float(per_input.mean())
 
 
-def _efficiencies(m: np.ndarray, expected: list[int]) -> np.ndarray:
-    """m[..., i, expected[i]] / sum_j m[..., i, j] for every row i, of one
-    matrix or a stack of them; a zero row total raises ValueError."""
-    totals = m.sum(axis=-1)
-    if (totals <= 0).any():
-        bad = int(np.nonzero(totals <= 0)[-1][0])
-        raise ValueError(f"efficiency undefined: row {bad} has zero total counts")
-    return m[..., np.arange(len(expected)), expected] / totals
+def _check_cells(m: np.ndarray, context: str) -> None:
+    """Raise ValueError naming the first entry of `m` that is negative or
+    not finite."""
+    bad = ~np.isfinite(m) | (m < 0)
+    if bad.any():
+        i, j = (int(x) for x in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{context}: row {i}, column {j} holds {m[i, j]}, not a finite "
+            f"non-negative number"
+        )
 
 
 def expected_permutation(kind: str, d: int = 4) -> list[int]:
@@ -762,13 +806,16 @@ def circuit_unitary_fidelity(circuit: OpticalCircuit, gate: np.ndarray) -> float
     T is extracted by propagating each basis mode with ideal noise and
     ideal (lossless) recombination and projecting the output onto the
     window; the result is 1 exactly when the circuit realizes `gate` up to
-    a global phase.
+    a global phase.  A non-finite gate entry raises ValueError.
     """
     gate = np.asarray(gate, dtype=complex)
     d = circuit.dim
     if gate.shape != (d, d):
         raise ValueError(f"gate shape {gate.shape} does not match dimension {d}")
-    return float(abs(np.trace(gate.conj().T @ _ideal_transfer(circuit))) / d)
+    if not np.isfinite(gate).all():
+        i, j = (int(x) for x in np.argwhere(~np.isfinite(gate))[0])
+        raise ValueError(f"gate entry ({i}, {j}) is {gate[i, j]}, not finite")
+    return float(abs(np.vdot(gate, _compiled(circuit).transfer)) / d)
 
 
 def superposition_visibility(
@@ -789,8 +836,9 @@ def superposition_visibility(
     """
     noise = NoiseParams() if noise is None else noise
     w = circuit.window
-    ins = (w.dim - 2, w.dim - 1)
-    transfer = _ideal_transfer(circuit)
+    ins = [w.dim - 2, w.dim - 1]
+    c = _compiled(circuit)
+    transfer = c.transfer
     outs = [int(np.argmax(np.abs(transfer[:, j]))) for j in ins]
     for j, i in zip(ins, outs):
         if abs(abs(transfer[i, j]) ** 2 - 1) > 1e-9:
@@ -798,10 +846,11 @@ def superposition_visibility(
                 f"logical mode {j} does not map onto a single window mode"
             )
     phase = transfer[outs[1], ins[1]] / transfer[outs[0], ins[0]]
-    steps, outputs = _compile(circuit, [w.to_oam(j) for j in ins])
-    psi = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    rho = _mix(steps, noise.visibility, noise.throughput, psi.T[:, :, None] * psi)[0]
-    a, b = (outputs[w.to_oam(i)] for i in outs)
+    # the steps take every window mode; both inputs live on the last two
+    psi = np.zeros((2, w.dim), dtype=complex)
+    psi[:, ins] = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    rho = _mix(c.steps, noise.visibility, noise.throughput, psi.T[:, :, None] * psi)[0]
+    a, b = (c.outputs[w.to_oam(i)] for i in outs)
     # <e|rho|e> / (rho_aa + rho_bb) is 1/2 + s cross for the expected outcome
     # |e> = (|a'> + s e^{i phi} |b'>)/sqrt(2) of input sign s = +1, -1
     cross = (phase * rho[a, :, b]).real / (rho[a, :, a] + rho[b, :, b]).real
@@ -820,6 +869,55 @@ def mean_gate_efficiency(
     return efficiency(matrix, expected_permutation(kind))[1]
 
 
+def _chebyshev(v, degree: int) -> np.ndarray:
+    """Chebyshev polynomials T_0 .. T_degree of 2v - 1 at visibility `v`, a
+    number or a 1-D array (one row per visibility)."""
+    return np.cos(np.multiply.outer(np.arccos(2 * np.asarray(v) - 1), np.arange(degree + 1)))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _efficiency_curve(kind: str, throughput: float):
+    """The mean efficiency E(V) of gate `kind` in closed form, and its values
+    on the calibration grid `_GRID`.
+
+    Per input row i, the expected column's probability N_i and the row
+    total D_i are polynomials in V of degree at most k, the number of noise
+    slots, so one pass at k + 1 Chebyshev points on [0, 1] fits them
+    exactly; E(V) is the mean of N_i(V) / D_i(V).  The points include V = 0
+    and V = 1, whose grid values are the pass's own.
+    """
+    circuit = build_gate_circuit(kind, SubspaceMap(4, -2))
+    c = _compiled(circuit)
+    k = sum(len(e.noise_slots) for e, _, _ in c.steps)
+    nodes = (1 - np.cos(np.arange(k + 1) * math.pi / k)) / 2
+    probs = _window_probs(c.steps, c.outputs, circuit.window.oam_labels, nodes, throughput)
+    perm = expected_permutation(kind)
+    rows = np.stack([probs[:, range(len(perm)), perm], probs.sum(axis=2)])
+    coeffs = np.linalg.solve(_chebyshev(nodes, k), rows)  # [N or D, T_n, input]
+
+    def curve(v):
+        num, den = _chebyshev(v, k) @ coeffs
+        return (num / den).mean(axis=-1)
+
+    grid = curve(_GRID)
+    grid[[0, -1]] = (rows[0] / rows[1]).mean(axis=-1)[[0, -1]]
+    grid.flags.writeable = False
+    return curve, grid
+
+
+def _solve(curve, target: float, a: float, b: float) -> float:
+    """V in [a, b] with curve(V) = target to about 1e-15, by regula falsi
+    (at most 100 steps); curve(a) < target <= curve(b)."""
+    fa, fb = curve(a) - target, curve(b) - target
+    for _ in range(100):
+        v = min(max((a * fb - b * fa) / (fb - fa), a), b)
+        f = curve(v) - target
+        if abs(f) <= 1e-15 or v in (a, b):
+            break
+        a, fa, b, fb = (v, f, b, fb) if f < 0 else (a, fa, v, f)
+    return float(v)
+
+
 def calibrate_visibility(
     kind: str,
     target_mean_efficiency: float,
@@ -827,16 +925,18 @@ def calibrate_visibility(
     throughput: float = 0.5,
     tol: float = 1e-4,
 ) -> NoiseParams:
-    """Bisection over V until the simulated mean efficiency hits the target.
+    """The visibility V at which the simulated mean efficiency hits the target.
 
     The target must lie in (0.25, 1] and `tol` must be finite and
     non-negative.  Mean efficiency is checked to be monotone non-decreasing
     over V in {0, 0.1, ..., 1.0} before searching; targets outside the
-    achievable range raise CalibrationError naming it.
+    achievable range raise CalibrationError naming it, and a target within
+    `tol` of the value at V = 1 (else V = 0) returns that endpoint.
 
-    The gate circuit is compiled once; each pass evaluates on it every
-    midpoint the next `_LEVELS` bisection steps can visit (the first pass
-    the grid as well), and the steps then read their decisions from it.
+    The search runs on the closed form of :func:`_efficiency_curve`, fitted
+    once per (kind, throughput): it solves E(V) = target to rounding inside
+    the grid cell that brackets the target, and raises CalibrationError if
+    the root it finds misses the target by more than `tol`.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
@@ -845,29 +945,10 @@ def calibrate_visibility(
             f"target mean efficiency must lie in (0.25, 1], got "
             f"{target_mean_efficiency}"
         )
-
-    circuit = build_gate_circuit(kind, SubspaceMap(4, -2))
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
     NoiseParams(1.0, throughput)  # validates the throughput
-    window = circuit.window.oam_labels
-    compiled = _compile(circuit, window)
-    perm = np.array(expected_permutation(kind))
-
-    def effs(vs: list[float]) -> np.ndarray:
-        probs = _correlation(compiled, window, np.array(vs), throughput)
-        return _efficiencies(probs, perm).mean(axis=1)
-
-    def tree(lo: float, hi: float) -> tuple[list, list]:
-        # node k halves bounds[k]: its lower half is node 2k+1, its upper
-        # half node 2k+2 (bounds grows while it is read)
-        bounds = [(lo, hi)]
-        for a, b in itertools.islice(bounds, 2**_LEVELS - 1):
-            bounds += [(a, (a + b) / 2), ((a + b) / 2, b)]
-        return bounds, [(a + b) / 2 for a, b in bounds[: 2**_LEVELS - 1]]
-
-    bounds, mids = tree(0.0, 1.0)
-    # the grid and the first bisection levels share one pass
-    values = effs([i / 10 for i in range(11)] + mids)
-    values, mid_values = values[:11], values[11:]
+    curve, values = _efficiency_curve(kind, float(throughput))
     if np.any(values[1:] < values[:-1] - 1e-12):
         raise CalibrationError("mean efficiency is not monotone in visibility")
     lo_eff, hi_eff = values[0], values[-1]
@@ -879,18 +960,14 @@ def calibrate_visibility(
     for v_exact, e_exact in ((1.0, hi_eff), (0.0, lo_eff)):
         if abs(e_exact - target_mean_efficiency) <= tol:
             return NoiseParams(v_exact, throughput)
-    k = 0
-    for done in range(0, 200, _LEVELS):
-        if done:
-            bounds, mids = tree(*bounds[k])
-            mid_values, k = effs(mids), 0
-        for _ in range(min(_LEVELS, 200 - done)):
-            if abs(mid_values[k] - target_mean_efficiency) <= tol:
-                return NoiseParams(mids[k], throughput)
-            k = 2 * k + (2 if mid_values[k] < target_mean_efficiency else 1)
-    raise CalibrationError(
-        f"bisection failed to reach target {target_mean_efficiency} within {tol}"
-    )
+    # the target now lies strictly between values[0] and values[-1]
+    j = int(np.argmax(values >= target_mean_efficiency))
+    v = _solve(curve, target_mean_efficiency, _GRID[j - 1], _GRID[j])
+    if not abs(curve(v) - target_mean_efficiency) <= tol:
+        raise CalibrationError(
+            f"calibration failed to reach target {target_mean_efficiency} within {tol}"
+        )
+    return NoiseParams(v, throughput)
 
 
 def monte_carlo_counts(
@@ -902,13 +979,17 @@ def monte_carlo_counts(
 
     Row i draws `shots_per_input` samples from its distribution using the
     substream np.random.default_rng([seed, i]), so identical seeds give
-    bit-identical counts and rows are independently reproducible.
+    bit-identical counts and rows are independently reproducible.  The
+    shot count must be an integer >= 1, the seed an integer >= 0, and every
+    cell finite and non-negative; each raises ValueError otherwise.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"probability matrix must be 2-D, got shape {m.shape}")
-    if shots_per_input < 1:
-        raise ValueError(f"shots_per_input must be >= 1, got {shots_per_input}")
+    for name, value, least in (("shots_per_input", shots_per_input, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_cells(m, "probability matrix")
     counts = np.zeros(m.shape, dtype=np.int64)
     for i, row in enumerate(m):
         total = row.sum()

@@ -50,8 +50,8 @@ def shift_clock(a: int, b: int, d: int) -> np.ndarray:
     """
     d = check_dim(d)
     a, b = _check_exponent(a) % d, _check_exponent(b) % d
+    out = np.zeros((d, d), dtype=complex)  # first: a too-large d fails at once
     l = np.arange(d)
-    out = np.zeros((d, d), dtype=complex)
     out[(l + a) % d, l] = np.exp(2j * np.pi * ((b * l) % d) / d)
     return out
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,27 @@ def test_dimension_too_large_to_allocate_exits_4(runner, args):
     result = runner.invoke(main, [*args, "--dim", "10000000"])
     assert result.exit_code == 4
     assert result.stderr.startswith("error: --dim 10000000:")
+
+
+def test_too_large_dimension_fails_before_allocating_index_vectors():
+    # a 10^7-entry index vector and its (l + a) % d temporaries take ~80 MB
+    # when they come before the dense matrix that cannot be allocated
+    code = (
+        "import resource, sys\n"
+        "from quditgates.cli import main\n"
+        "try:\n"
+        "    main(['gates', '--gate', 'X', '--dim', '10000000'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    code, max_rss_kib = proc.stdout.split()
+    assert code == "4"
+    assert int(max_rss_kib) < 80 * 1024
 
 
 def test_synth_requires_input_file(runner):

@@ -2,6 +2,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quditgates import (
     IDEAL,
@@ -25,8 +28,9 @@ from quditgates.formats import (
     matrix_to_json,
 )
 
+from strategies import WINDOW, random_circuits
+
 DATA = Path(__file__).parent / "data"
-WINDOW = SubspaceMap(4, -2)
 
 
 def test_matrix_json_schema_fields():
@@ -186,3 +190,58 @@ def test_circuit_json_rejects_non_finite_phi(phi):
     )
     with pytest.raises(SchemaError, match="'phi' must be finite"):
         circuit_from_json(text)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, -0.5])
+def test_count_csv_writer_rejects_cells_the_reader_rejects(cell):
+    matrix = np.full((4, 4), 0.25)
+    matrix[3, 2] = cell
+    with pytest.raises(ValueError, match="row 3, column 2"):
+        count_matrix_to_csv(matrix, WINDOW)
+    with pytest.raises(ValueError, match="row 0, column 1"):
+        count_matrix_to_csv(np.array([[0, -1], [2, 3]]), SubspaceMap(2, 0))
+
+
+@given(random_circuits())
+def test_circuit_json_round_trip_is_byte_exact_for_random_circuits(circuit):
+    text = circuit_to_json(circuit)
+    parsed = circuit_from_json(text)
+    assert parsed == circuit
+    assert circuit_to_json(parsed) == text
+
+
+def square(dtype, elements, sizes=st.integers(2, 6)):
+    return sizes.flatmap(lambda d: hnp.arrays(dtype, (d, d), elements=elements))
+
+
+@given(square(complex, st.complex_numbers(allow_nan=False, allow_infinity=False)))
+@example(np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)], [0j, complex(-0.0, -0.0)]]))
+def test_matrix_and_coefficient_json_round_trips_are_bit_exact(h):
+    for dump, load in ((coefficients_to_json, coefficients_from_json), (matrix_to_json, matrix_from_json)):
+        text = dump(h)
+        parsed = load(text)
+        assert np.array_equal(parsed.view(float), h.view(float))
+        assert np.array_equal(np.signbit(parsed.view(float)), np.signbit(h.view(float)))
+        assert dump(parsed) == text
+
+
+@given(
+    square(np.int64, st.integers(0, 2**53)),
+    st.integers(-50, 50),
+)
+def test_count_csv_round_trip_is_exact_for_counts(counts, offset):
+    window = SubspaceMap(len(counts), offset)
+    text = count_matrix_to_csv(counts, window)
+    parsed, got_window = count_matrix_from_csv(text)
+    assert got_window == window
+    assert np.array_equal(parsed, counts)
+    assert count_matrix_to_csv(parsed.astype(np.int64), window) == text
+
+
+@given(square(float, st.floats(0, 1)))
+def test_count_csv_round_trip_keeps_six_decimals_of_probabilities(probs):
+    window = SubspaceMap(len(probs), -2)
+    text = count_matrix_to_csv(probs, window)
+    parsed, _ = count_matrix_from_csv(text)
+    assert np.all(np.abs(parsed - probs) <= 5e-7 + 1e-15)
+    assert count_matrix_to_csv(parsed, window) == text

@@ -39,8 +39,7 @@ from quditgates import (
     total_probability,
     trace_modes,
 )
-
-WINDOW = SubspaceMap(4, -2)
+from strategies import WINDOW, random_circuits
 
 CAPTION_TUPLES = {
     "X": (-1, 0, 1, -2),
@@ -413,43 +412,6 @@ def enumerated_probabilities(circuit, state, noise):
     return probs
 
 
-@st.composite
-def random_circuits(draw):
-    """Small valid circuits of every element type with at most 5 noise slots."""
-    live, elements, slots = ["in"], [], 0
-    for n in range(draw(st.integers(0, 7))):
-        kinds = ["spp", "mirror", "phase"]
-        if slots < 5:
-            kinds.append("sorter")
-            if len(live) > 1:
-                kinds.append("recombiner")
-        kind = draw(st.sampled_from(kinds))
-        if kind == "recombiner":
-            arms = st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True)
-            a, b = draw(arms)
-            modes = ["ideal", "lossy_pbs"] if slots < 4 else ["lossy_pbs"]
-            mode = draw(st.sampled_from(modes))
-            reflect = draw(st.sampled_from(["even", "odd", "none"]))
-            elements.append(Recombiner(a, b, f"m{n}", mode=mode, reflect=reflect))
-            live = [p for p in live if p not in (a, b)] + [f"m{n}", f"m{n}.discard"]
-            slots += 2 if mode == "ideal" else 1
-            continue
-        path = draw(st.sampled_from(live))
-        if kind == "sorter":
-            parity = draw(st.sampled_from(["even", "odd"]))
-            elements.append(ParitySorter((path,), f"e{n}", f"o{n}", parity))
-            live = [p for p in live if p != path] + [f"e{n}", f"o{n}"]
-            slots += 1
-        elif kind == "spp":
-            elements.append(SpiralPhasePlate(path, draw(st.integers(-3, 3))))
-        elif kind == "mirror":
-            elements.append(Mirror(path))
-        else:
-            elements.append(PhaseShift(path, draw(st.floats(-np.pi, np.pi))))
-    output = draw(st.sampled_from(live))
-    return OpticalCircuit(4, WINDOW, tuple(elements), output_path=output)
-
-
 unit = st.floats(-1, 1, allow_nan=False)
 
 
@@ -594,9 +556,10 @@ def test_apply_element_rejects_unknown_elements():
 
 
 def sequential_calibration(kind, target, *, throughput=0.5, tol=1e-4):
-    """calibrate_visibility one V at a time over the public
-    mean_gate_efficiency: the same grid check, endpoint shortcuts,
-    midpoints, 200-step cap and error messages."""
+    """Bisection over V one visibility at a time on the public
+    mean_gate_efficiency, with calibrate_visibility's grid check, endpoint
+    shortcuts and error messages and a 200-step cap: the noise it returns
+    and its final bracket (None for an endpoint)."""
     if not 0.25 < target <= 1.0:
         raise CalibrationError(
             f"target mean efficiency must lie in (0.25, 1], got {target}"
@@ -616,22 +579,36 @@ def sequential_calibration(kind, target, *, throughput=0.5, tol=1e-4):
         )
     for v_exact, e_exact in ((1.0, hi_eff), (0.0, lo_eff)):
         if abs(e_exact - target) <= tol:
-            return NoiseParams(v_exact, throughput)
+            return NoiseParams(v_exact, throughput), None
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = (lo + hi) / 2
         e = eff(mid)
         if abs(e - target) <= tol:
-            return NoiseParams(mid, throughput)
+            return NoiseParams(mid, throughput), (lo, hi)
         lo, hi = (mid, hi) if e < target else (lo, mid)
-    raise CalibrationError(f"bisection failed to reach target {target} within {tol}")
+    raise CalibrationError(f"calibration failed to reach target {target} within {tol}")
 
 
-def outcome(calibrate, *args, **kwargs):
+def check_against_bisection(kind, target, *, throughput=0.5, tol=1e-4):
+    """calibrate_visibility raises the bisection's errors and returns its
+    endpoints; otherwise its V lies in the bisection's final bracket and its
+    mean efficiency is the target to 1e-12."""
+    kwargs = {"throughput": throughput, "tol": tol}
     try:
-        return calibrate(*args, **kwargs)
+        want, bracket = sequential_calibration(kind, target, **kwargs)
     except CalibrationError as exc:
-        return f"CalibrationError: {exc}"
+        with pytest.raises(CalibrationError) as got:
+            calibrate_visibility(kind, target, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    got = calibrate_visibility(kind, target, **kwargs)
+    if bracket is None:
+        assert got == want
+        return
+    assert bracket[0] <= got.visibility <= bracket[1]
+    assert got.throughput == throughput
+    assert abs(mean_gate_efficiency(kind, got) - target) <= 1e-12
 
 
 PAPER_TARGETS = [("X", 0.873), ("X2", 0.904), ("Xdagger", 0.884)]
@@ -640,38 +617,63 @@ PAPER_TARGETS = [("X", 0.873), ("X2", 0.904), ("Xdagger", 0.884)]
 @pytest.mark.parametrize("tol", [1e-4, 1e-7])
 @pytest.mark.parametrize("kind,target", PAPER_TARGETS)
 def test_calibration_matches_sequential_bisection(kind, target, tol):
-    want = sequential_calibration(kind, target, tol=tol)
-    assert calibrate_visibility(kind, target, tol=tol) == want
+    check_against_bisection(kind, target, tol=tol)
 
 
-@pytest.mark.parametrize("levels", [1, 2, 4, 5])
-def test_calibration_is_the_same_for_every_tree_depth(monkeypatch, levels):
-    monkeypatch.setattr(optics, "_LEVELS", levels)
-    for kind, target in PAPER_TARGETS:
-        want = sequential_calibration(kind, target, tol=1e-7)
-        assert calibrate_visibility(kind, target, tol=1e-7) == want
+@pytest.mark.parametrize("throughput", [0.01, 0.02, 0.045, 0.5])
+@pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
+def test_calibration_returns_exact_endpoints_at_zero_tolerance(kind, throughput):
+    # the fitted polynomials miss E(1) = 1 and E(0) = 0.75 by an ulp at
+    # some throughputs; the endpoints come from the pass itself
+    for target in (1.0, 0.75):
+        check_against_bisection(kind, target, throughput=throughput, tol=0.0)
 
 
-@pytest.mark.parametrize("levels", [3, 4])
-def test_calibration_stops_after_200_bisection_steps(monkeypatch, levels):
-    # efficiency steps from 0.5 to 1 at V = 1/3, so the bisection closes in
-    # on 1/3 without ever coming within tol of the target 0.75
-    perm, passes = expected_permutation("X"), []
+@pytest.mark.parametrize(
+    "kind,target,root", [("X", 0.873, 0.492), ("X2", 0.904, 0.616), ("Xdagger", 0.884, 0.536)]
+)
+def test_calibration_returns_the_exact_root(kind, target, root):
+    # every gate's mean efficiency is 0.75 + 0.25 V
+    assert abs(calibrate_visibility(kind, target).visibility - root) <= 1e-12
 
-    def step_correlation(compiled, window, vs, throughput):
-        passes.append(len(vs))
-        e = np.where(vs < 1 / 3, 0.5, 1.0)[:, None]
-        probs = np.zeros((len(vs), 4, 4))
-        probs[:, range(4), perm] = e
-        probs[:, range(4), np.roll(perm, 1)] = 1 - e
-        return probs
 
-    monkeypatch.setattr(optics, "_LEVELS", levels)
-    monkeypatch.setattr(optics, "_correlation", step_correlation)
-    with pytest.raises(CalibrationError, match="bisection failed"):
+@pytest.mark.parametrize("throughput", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
+def test_efficiency_curve_is_the_mean_gate_efficiency(kind, throughput):
+    curve, grid = optics._efficiency_curve(kind, throughput)
+    vs = np.linspace(0, 1, 101)
+    want = [mean_gate_efficiency(kind, NoiseParams(v, throughput)) for v in vs]
+    assert np.all(np.abs(curve(vs) - want) <= 1e-12)
+    assert np.all(np.abs(grid - want[::10]) <= 1e-12)
+    assert grid[-1] == mean_gate_efficiency(kind, NoiseParams(1.0, throughput)) == 1.0
+
+
+@pytest.mark.parametrize("jump", [1 / 3, 0.4], ids=["inside_a_cell", "on_a_grid_point"])
+def test_calibration_raises_when_the_curve_misses_the_target(monkeypatch, jump):
+    # efficiency steps from 0.5 to 1 at V = jump, so the root search closes
+    # in on the jump without ever coming within tol of the target 0.75
+    calls = []
+
+    def step(v):
+        calls.append(v)
+        return np.where(np.asarray(v) < jump, 0.5, 1.0)
+
+    grid = step(optics._GRID)
+    calls.clear()
+    monkeypatch.setattr(optics, "_efficiency_curve", lambda *_: (step, grid))
+    with pytest.raises(CalibrationError, match="failed to reach target 0.75 within 0.0001"):
         calibrate_visibility("X", 0.75)
-    tree = 2**levels - 1
-    assert passes == [11 + tree] + [tree] * (-(-200 // levels) - 1)
+    assert all(0.3 <= v <= 0.4 for v in calls) and len(calls) <= 103
+
+
+def test_calibration_solves_a_curved_efficiency_to_rounding(monkeypatch):
+    def curve(v):
+        return 0.75 + 0.25 * np.asarray(v) ** 4
+
+    monkeypatch.setattr(optics, "_efficiency_curve", lambda *_: (curve, curve(optics._GRID)))
+    noise = calibrate_visibility("X", 0.8, tol=1e-4)
+    assert abs(curve(noise.visibility) - 0.8) <= 1e-15
+    assert noise.visibility == pytest.approx(0.2**0.25, abs=1e-14)
 
 
 @settings(deadline=None, max_examples=60)
@@ -684,15 +686,13 @@ def test_calibration_stops_after_200_bisection_steps(monkeypatch, levels):
 def test_calibration_sweep_matches_sequential_bisection(kind, target, throughput, tol):
     # every kind reaches mean efficiencies from 0.75 (V=0) to 1 (V=1); the
     # targets just below that range check the unreachable error as well
-    kwargs = {"throughput": throughput, "tol": tol}
-    want = outcome(sequential_calibration, kind, target, **kwargs)
-    assert outcome(calibrate_visibility, kind, target, **kwargs) == want
+    check_against_bisection(kind, target, throughput=throughput, tol=tol)
 
 
 def batch_correlation(circuit, visibilities, throughput):
     window = circuit.window.oam_labels
-    compiled = optics._compile(circuit, window)
-    return optics._correlation(compiled, window, np.array(visibilities), throughput)
+    steps, outputs = optics._compile(circuit, window)
+    return optics._correlation(steps, outputs, window, np.array(visibilities), throughput)
 
 
 @pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
@@ -720,3 +720,122 @@ def test_visibility_batch_matches_on_random_circuits(circuit, vs, throughput):
     batch = batch_correlation(circuit, vs, throughput)
     assert batch.shape == (len(vs), 4, 4)
     assert np.allclose(batch, singles, rtol=0, atol=1e-12)
+
+
+# --- compiled-form cache -----------------------------------------------------
+
+
+@settings(deadline=None)
+@given(random_circuits(), st.floats(0, 1), st.floats(0.01, 1))
+def test_cached_correlation_equals_a_fresh_compile(circuit, v, throughput):
+    window = circuit.window.oam_labels
+    try:
+        want = optics._correlation(
+            *optics._compile(circuit, window), window, v, throughput
+        )[0]
+    except CircuitError:
+        with pytest.raises(CircuitError):
+            correlation_matrix(circuit, NoiseParams(v, throughput))
+        return
+    for _ in range(2):  # the second call reads the cache
+        got = correlation_matrix(circuit, NoiseParams(v, throughput))
+        assert np.array_equal(got, want)
+
+
+def test_each_distinct_circuit_compiles_once(monkeypatch):
+    compiled = []
+
+    def spy(circuit, labels):
+        compiled.append(circuit)
+        return compile_(circuit, labels)
+
+    compile_ = optics._compile
+    monkeypatch.setattr(optics, "_compile", spy)
+    optics._compiled_cached.cache_clear()
+    optics._efficiency_curve.cache_clear()
+    for _ in range(3):
+        for kind, target in PAPER_TARGETS:
+            circuit = build_gate_circuit(kind, WINDOW)
+            noise = calibrate_visibility(kind, target)
+            correlation_matrix(circuit, noise)
+            superposition_visibility(circuit, noise)
+            circuit_unitary_fidelity(circuit, ideal_gate_matrix(kind))
+    assert compiled == [build_gate_circuit(kind, WINDOW) for kind, _ in PAPER_TARGETS]
+
+
+def test_callers_cannot_change_a_cached_result():
+    circuit, noise = build_gate_circuit("X", WINDOW), NoiseParams(0.7, 0.5)
+    matrix = correlation_matrix(circuit, noise)
+    want = matrix.copy()
+    matrix[:] = 0.0
+    assert np.array_equal(correlation_matrix(circuit, noise), want)
+    entry = optics._compiled(circuit)
+    _, grid = optics._efficiency_curve("X", 0.5)
+    for array in [entry.transfer, grid] + [basis for _, _, basis in entry.steps]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_unhashable_circuits_are_compiled_afresh():
+    sorter = ParitySorter(["in"], "even", "odd", reflected_parity="even")
+    circuit = replace(
+        build_gate_circuit("X", WINDOW),
+        elements=(SpiralPhasePlate("in", 1), sorter, Mirror("odd"), Recombiner("even", "odd", "out")),
+    )
+    noise = NoiseParams(0.7, 0.5)
+    want = build_gate_circuit("X", WINDOW)
+    assert np.array_equal(correlation_matrix(circuit, noise), correlation_matrix(want, noise))
+    assert circuit_unitary_fidelity(circuit, make_x(4)) == pytest.approx(1.0, abs=1e-12)
+
+
+# --- non-finite and negative inputs -------------------------------------------
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, -0.5])
+def test_efficiency_rejects_non_finite_and_negative_entries(cell):
+    m = np.eye(4)
+    m[2, 1] = cell
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        efficiency(m, expected_permutation("X"))
+    with pytest.raises(ValueError, match="row 0, column 0"):
+        efficiency(np.full((4, 4), cell), expected_permutation("X"))
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, complex(0, np.nan)])
+def test_circuit_unitary_fidelity_rejects_non_finite_gates(cell):
+    gate = make_x(4)
+    gate[3, 1] = cell
+    with pytest.raises(ValueError, match=r"gate entry \(3, 1\)"):
+        circuit_unitary_fidelity(build_gate_circuit("X", WINDOW), gate)
+
+
+@pytest.mark.parametrize(
+    "shots,seed,match",
+    [
+        (2.5, 1, "shots_per_input must be an integer >= 1, got 2.5"),
+        (True, 1, "shots_per_input must be an integer >= 1, got True"),
+        (np.float64(10), 1, "shots_per_input"),
+        (10, -1, "seed must be an integer >= 0, got -1"),
+        (10, 1.5, "seed must be an integer >= 0, got 1.5"),
+        (10, False, "seed must be an integer >= 0, got False"),
+    ],
+)
+def test_monte_carlo_rejects_bad_shots_and_seeds(shots, seed, match):
+    with pytest.raises(ValueError, match=match):
+        monte_carlo_counts(np.full((4, 4), 0.25), shots, seed)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, -0.25])
+def test_monte_carlo_rejects_non_finite_and_negative_cells(cell):
+    probs = np.full((4, 4), 0.25)
+    probs[1, 3] = cell
+    with pytest.raises(ValueError, match="row 1, column 3"):
+        monte_carlo_counts(probs, 10, 1)
+
+
+def test_monte_carlo_draws_one_substream_per_row():
+    probs = correlation_matrix(build_gate_circuit("X2", WINDOW), NoiseParams(0.6, 0.5))
+    counts = monte_carlo_counts(probs * 3, np.int64(1000), np.uint32(9))
+    for i, row in enumerate(probs * 3):
+        want = np.random.default_rng([9, i]).multinomial(1000, row / row.sum())
+        assert np.array_equal(counts[i], want)
