@@ -62,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import SubspaceMap, check_dim, shift_clock
+from .pauli import SubspaceMap, check_dim, require_finite, shift_clock
 
 #: Amplitude map: (path, OAM label) -> complex amplitude.
 Amplitudes = dict[tuple[str, int], complex]
@@ -643,8 +643,8 @@ def efficiency(
 
     E_i = matrix[i, expected[i]] / sum_j matrix[i, j]; accepts probability
     or count form.  Every expected column must be an integer in [0, d),
-    every entry finite and non-negative, and a zero row total leaves the
-    efficiency undefined; each raises ValueError.
+    every entry finite and non-negative and every row total finite, and a
+    zero row total leaves the efficiency undefined; each raises ValueError.
     """
     m = np.asarray(matrix, dtype=float)
     expected = list(expected)
@@ -656,8 +656,7 @@ def efficiency(
     for i, col in enumerate(expected):
         if not isinstance(col, (int, np.integer)) or not 0 <= col < d:
             raise ValueError(f"expected[{i}] = {col!r} is not an integer in [0, {d})")
-    _check_cells(m, "efficiency undefined")
-    totals = m.sum(axis=1)
+    totals = _row_totals(m, "efficiency undefined")
     if (totals <= 0).any():
         bad = int(np.nonzero(totals <= 0)[0][0])
         raise ValueError(f"efficiency undefined: row {bad} has zero total counts")
@@ -675,6 +674,20 @@ def _check_cells(m: np.ndarray, context: str) -> None:
             f"{context}: row {i}, column {j} holds {m[i, j]}, not a finite "
             f"non-negative number"
         )
+
+
+def _row_totals(m: np.ndarray, context: str) -> np.ndarray:
+    """Row sums of the 2-D `m`; raise ValueError naming the first entry that
+    :func:`_check_cells` rejects, or else the first row whose finite
+    entries sum to infinity."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = m.sum(axis=1)
+    # a NaN or infinite cell makes its row total non-finite as well
+    if np.isfinite(totals).all() and (m >= 0).all():
+        return totals
+    _check_cells(m, context)
+    i = int(np.argmin(np.isfinite(totals)))
+    raise ValueError(f"{context}: row {i} sums to {totals[i]}, not a finite number")
 
 
 def expected_permutation(kind: str, d: int = 4) -> list[int]:
@@ -812,9 +825,7 @@ def circuit_unitary_fidelity(circuit: OpticalCircuit, gate: np.ndarray) -> float
     d = circuit.dim
     if gate.shape != (d, d):
         raise ValueError(f"gate shape {gate.shape} does not match dimension {d}")
-    if not np.isfinite(gate).all():
-        i, j = (int(x) for x in np.argwhere(~np.isfinite(gate))[0])
-        raise ValueError(f"gate entry ({i}, {j}) is {gate[i, j]}, not finite")
+    require_finite(gate)
     return float(abs(np.vdot(gate, _compiled(circuit).transfer)) / d)
 
 
@@ -980,19 +991,19 @@ def monte_carlo_counts(
     Row i draws `shots_per_input` samples from its distribution using the
     substream np.random.default_rng([seed, i]), so identical seeds give
     bit-identical counts and rows are independently reproducible.  The
-    shot count must be an integer >= 1, the seed an integer >= 0, and every
-    cell finite and non-negative; each raises ValueError otherwise.
+    shot count must be an integer >= 1, the seed an integer >= 0, every
+    cell finite and non-negative, and every row total finite and positive;
+    each raises ValueError otherwise.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix, dtype=float, order="C")  # so totals equal each row.sum()
     if m.ndim != 2:
         raise ValueError(f"probability matrix must be 2-D, got shape {m.shape}")
     for name, value, least in (("shots_per_input", shots_per_input, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    _check_cells(m, "probability matrix")
+    totals = _row_totals(m, "probability matrix")
     counts = np.zeros(m.shape, dtype=np.int64)
-    for i, row in enumerate(m):
-        total = row.sum()
+    for i, (row, total) in enumerate(zip(m, totals)):
         if total <= 0:
             raise ValueError(f"row {i} is not a probability distribution")
         rng = np.random.default_rng([int(seed), i])

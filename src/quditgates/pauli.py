@@ -4,20 +4,31 @@ The two generators are the cyclic shift X (|l> -> |l+1 mod d>) and the
 clock Z (|l> -> omega^l |l>, omega = exp(2*pi*i/d)).  Together with their
 integer powers they satisfy X^d = Z^d = I and X.Z = omega^(-1) Z.X, and
 span the full operator algebra (see :mod:`quditgates.weyl`).
-:func:`shift_clock` builds X^a Z^b exactly, by index arithmetic mod d.
+:func:`shift_clock` builds X^a Z^b exactly, by index arithmetic mod d, and
+:func:`gate_power` raises any matrix that is exactly some X^a Z^b to an
+integer power the same way; every other matrix takes the general dense
+matrix power.
 
 All values are plain complex numpy arrays, immutable by convention; every
-function is pure, so everything here is safe to share across threads.
+function is pure.  The only shared state is a bounded cache of read-only
+tables of the d-th roots of unity, so everything here is safe to share
+across threads.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 #: Frobenius-norm tolerance for the algebraic identities used throughout.
 ATOL = 1e-12
+
+#: Dimensions whose table of roots of unity is kept, one length-d vector each.
+_ROOTS_CACHE_SIZE = 64
 
 
 def check_dim(d: int) -> int:
@@ -40,6 +51,67 @@ def _check_exponent(n: int) -> int:
     return int(n)
 
 
+@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
+def _roots(d: int) -> np.ndarray:
+    """Read-only table of omega^k, k = 0..d-1."""
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    roots.flags.writeable = False
+    return roots
+
+
+def _phases(b: int, c: int, d: int) -> np.ndarray:
+    """omega^((c + b*l) mod d) for l = 0..d-1, with b and c in [0, d)."""
+    step = b or d  # b = 0 steps by d, which is 0 mod d too
+    return _roots(d)[np.arange(c, c + step * d, step) % d]
+
+
+def _runs(flat: np.ndarray, a: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the entries (l + a mod d, l) of a flattened d x d matrix,
+    0 <= a < d: the strided run l < d - a, then the wrapped run l >= d - a."""
+    return flat[a * d :: d + 1], flat[d - a : a * d : d + 1]
+
+
+def _weyl(a: int, b: int, c: int, d: int) -> np.ndarray:
+    """omega^c X^a Z^b: omega^((c + b*l) mod d) at (l + a mod d, l).
+
+    a, b and c are reduced mod d as Python integers, so they may be of any
+    size and only the table of roots of unity is ever rounded.
+    """
+    a, b, c = a % d, b % d, c % d
+    out = np.zeros(d * d, dtype=complex)  # first: a too-large d fails at once
+    phases = _phases(b, c, d)
+    head, tail = _runs(out, a, d)
+    head[:] = phases[: d - a]
+    tail[:] = phases[d - a :]
+    return out.reshape(d, d)
+
+
+def _weyl_exponents(g: np.ndarray) -> tuple[int, int] | None:
+    """(a, b) in [0, d) when the square matrix g equals X^a Z^b exactly,
+    else None.
+
+    a is the row of column 0's nonzero entry and b the phase at
+    (a + 1 mod d, 1); g is accepted only if it then holds exactly the
+    entries of X^a Z^b and has no other nonzero entry.
+    """
+    d = g.shape[0]
+    if d < 2 or g.dtype.kind not in "biufc" or np.count_nonzero(g) != d:
+        return None
+    (rows,) = g[:, 0].nonzero()
+    if len(rows) != 1:
+        return None
+    a = int(rows[0])
+    turns = cmath.phase(g[(a + 1) % d, 1]) * d / (2 * math.pi)
+    if math.isnan(turns):
+        return None
+    b = round(turns) % d
+    want = _phases(b, 0, d)
+    head, tail = _runs(g.reshape(-1), a, d)
+    if np.count_nonzero(head != want[: d - a]) or np.count_nonzero(tail != want[d - a :]):
+        return None
+    return a, b
+
+
 def shift_clock(a: int, b: int, d: int) -> np.ndarray:
     """Exact X^a Z^b for any integers a, b: omega^(b*l) at (l+a mod d, l).
 
@@ -49,11 +121,7 @@ def shift_clock(a: int, b: int, d: int) -> np.ndarray:
     exact as Z^2.
     """
     d = check_dim(d)
-    a, b = _check_exponent(a) % d, _check_exponent(b) % d
-    out = np.zeros((d, d), dtype=complex)  # first: a too-large d fails at once
-    l = np.arange(d)
-    out[(l + a) % d, l] = np.exp(2j * np.pi * ((b * l) % d) / d)
-    return out
+    return _weyl(_check_exponent(a), _check_exponent(b), 0, d)
 
 
 def make_x(d: int) -> np.ndarray:
@@ -85,19 +153,43 @@ def dagger(g: np.ndarray) -> np.ndarray:
     return np.asarray(g).conj().T.copy()
 
 
-def gate_power(g: np.ndarray, n: int) -> np.ndarray:
-    """Integer power g^n of an arbitrary square matrix; negative n means
-    powers of the conjugate transpose.
+def require_finite(g: np.ndarray) -> None:
+    """Raise ValueError naming the first NaN or infinite entry of matrix g."""
+    if not np.isfinite(g).all():
+        i, j = (int(x) for x in np.argwhere(~np.isfinite(g))[0])
+        raise ValueError(f"gate entry ({i}, {j}) is {g[i, j]}, not finite")
 
-    gate_power(g, 0) is the identity.  This is the general matrix power by
-    repeated squaring, so rounding grows with log|n| and nothing is reduced
-    mod d; for powers of the shift/clock gates use :func:`shift_clock`,
-    which is exact for every exponent.
+
+def gate_power(g: np.ndarray, n: int) -> np.ndarray:
+    """Integer power g^n of a square matrix; negative n means powers of the
+    conjugate transpose.
+
+    gate_power(g, 0) is the identity.  When g is exactly X^a Z^b for some
+    integers a, b (everything :func:`shift_clock` and the ``make_*`` gates
+    return, and exact permutations such as ``np.roll(np.eye(d), 1,
+    axis=1)``), the power is built exactly from
+
+        (X^a Z^b)^n = omega^(a*b*n*(n-1)/2) X^(a*n) Z^(b*n),
+
+    with every exponent reduced mod d as an integer, so Z^(10^18) is exactly
+    the identity.  Every other matrix takes the general matrix power by
+    repeated squaring, whose rounding grows with log|n|.  A g that is not a
+    square 2-D matrix, or (on the general path) has a NaN or infinite
+    entry, raises ValueError.
     """
     n = _check_exponent(n)
+    g = np.asarray(g)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"gate must be a square matrix, got shape {g.shape}")
+    exponents = _weyl_exponents(g)
+    if exponents is not None:
+        a, b = exponents
+        return _weyl(a * n, b * n, a * b * (n * (n - 1) // 2), g.shape[0])
+    h = np.asarray(g, dtype=complex)
+    require_finite(h)
     if n < 0:
-        return np.linalg.matrix_power(dagger(g), -n)
-    return np.linalg.matrix_power(np.asarray(g, dtype=complex), n)
+        return np.linalg.matrix_power(dagger(h), -n)
+    return np.linalg.matrix_power(h, n)
 
 
 def apply_gate(g: np.ndarray, state: np.ndarray) -> np.ndarray:

@@ -833,9 +833,52 @@ def test_monte_carlo_rejects_non_finite_and_negative_cells(cell):
         monte_carlo_counts(probs, 10, 1)
 
 
+def test_cell_errors_come_before_row_totals():
+    # inf + -inf in one row sums to NaN; the cell is still what is named
+    m = np.eye(4)
+    m[1] = [np.inf, -np.inf, 1.0, 1e308]
+    with pytest.raises(ValueError, match="row 1, column 0 holds inf"):
+        efficiency(m, expected_permutation("X"))
+    with pytest.raises(ValueError, match="row 1, column 0 holds inf"):
+        monte_carlo_counts(m, 10, 1)
+
+
+@pytest.mark.parametrize("huge_row", [0, 2])
+def test_efficiency_rejects_rows_that_sum_to_infinity(huge_row):
+    m = np.eye(4)
+    m[huge_row] = 1e308
+    with pytest.raises(ValueError, match=f"row {huge_row} sums to inf, not a finite number"):
+        efficiency(m, expected_permutation("X"))
+    with pytest.raises(ValueError, match="row 0 sums to inf"):
+        efficiency(np.full((4, 4), 1e308), [1, 2, 3, 0])
+
+
+@pytest.mark.parametrize("huge_row", [0, 3])
+def test_monte_carlo_rejects_rows_that_sum_to_infinity(huge_row):
+    probs = np.full((4, 4), 0.25)
+    probs[huge_row] = 1e308
+    with pytest.raises(ValueError, match=f"row {huge_row} sums to inf, not a finite number"):
+        monte_carlo_counts(probs, 10, 1)
+    with pytest.raises(ValueError, match="row 0 sums to inf"):
+        monte_carlo_counts(np.full((4, 4), 1e308), 10, 1)
+
+
+def test_huge_finite_rows_that_do_not_overflow_still_count():
+    probs = np.full((4, 4), 1e307)
+    assert efficiency(probs, [1, 2, 3, 0])[1] == 0.25
+    counts = monte_carlo_counts(probs, 1000, 5)
+    want = monte_carlo_counts(np.full((4, 4), 0.25), 1000, 5)
+    assert np.array_equal(counts, want)
+
+
 def test_monte_carlo_draws_one_substream_per_row():
     probs = correlation_matrix(build_gate_circuit("X2", WINDOW), NoiseParams(0.6, 0.5))
     counts = monte_carlo_counts(probs * 3, np.int64(1000), np.uint32(9))
     for i, row in enumerate(probs * 3):
+        want = np.random.default_rng([9, i]).multinomial(1000, row / row.sum())
+        assert np.array_equal(counts[i], want)
+    wide = np.asfortranarray(np.random.default_rng(3).random((5, 40)) ** 8)
+    counts = monte_carlo_counts(wide, 1000, 9)
+    for i, row in enumerate(wide):
         want = np.random.default_rng([9, i]).multinomial(1000, row / row.sum())
         assert np.array_equal(counts[i], want)

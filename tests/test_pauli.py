@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from quditgates import (
     omega,
     shift_clock,
 )
+from quditgates import pauli
 
 np_rng = np.random.default_rng(20240901)
 
@@ -209,3 +212,112 @@ def test_y_power_phase_formula(dn):
     d, n = dn
     want = omega(d) ** ((n * (n - 1) // 2) % d) * shift_clock(n, n, d)
     assert np.abs(gate_power(make_y(d), n) - want).max() <= 1e-12
+
+
+# --- exact powers of X^a Z^b ----------------------------------------------------
+
+
+def weyl_power_oracle(d, a, b, n):
+    """(X^a Z^b)^n from Python integers: column l holds
+    omega^(b*(n*l + a*n*(n-1)/2) mod d) at row (l + a*n) mod d."""
+    l = np.arange(d)
+    rows = [(j + a * n) % d for j in range(d)]
+    phase = np.array([(b * (n * j + a * (n * (n - 1) // 2))) % d for j in range(d)])
+    out = np.zeros((d, d), dtype=complex)
+    out[rows, l] = np.exp(2j * np.pi * phase / d)
+    return out
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 64),
+    st.integers(),
+    st.integers(),
+    st.integers(-(10**18), 10**18),
+)
+def test_gate_power_of_weyl_monomials_is_exact(d, a, b, n):
+    got = gate_power(shift_clock(a, b, d), n)
+    assert np.array_equal(got, weyl_power_oracle(d, a, b, n))
+
+
+def test_huge_power_of_z_is_exactly_the_identity():
+    assert np.array_equal(gate_power(make_z(4), 10**18), np.eye(4))
+
+
+@pytest.mark.parametrize("n", [-(10**18), -5, -1, 0, 1, 3, 10**18 + 1])
+def test_exact_permutations_take_the_exact_path(n):
+    # np.roll(eye, 1, axis=1) is X^-1 as a real matrix
+    back = np.roll(np.eye(4), 1, axis=1)
+    assert np.array_equal(gate_power(back, n), shift_clock(-n, 0, 4))
+    # a bool permutation and an int diagonal (the identity) as well
+    assert np.array_equal(gate_power(back.astype(bool), n), shift_clock(-n, 0, 4))
+    assert np.array_equal(gate_power(np.eye(3, dtype=int), n), np.eye(3))
+
+
+def general_power(g, n):
+    """The dense power the general path is meant to return."""
+    if n < 0:
+        return np.linalg.matrix_power(dagger(g), -n)
+    return np.linalg.matrix_power(np.asarray(g, dtype=complex), n)
+
+
+def almost_weyl_and_dense_gates():
+    x = make_x(5)
+    ulp = x.copy()
+    ulp[1, 0] = np.nextafter(1.0, 2.0)
+    yield ulp
+    ulp = make_y(4)
+    ulp[2, 1] = complex(ulp[2, 1].real, np.nextafter(ulp[2, 1].imag, 0.0))
+    yield ulp
+    for c in (2.0, 0.5, 1.5j, (1 + 1j) / 2):
+        yield c * x
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 4, 7, 16):
+        perm = np.eye(d)[:, rng.permutation(d)]
+        yield perm * np.exp(2j * np.pi * rng.random(d))
+        yield rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        yield np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    yield np.zeros((3, 3))
+    yield x + np.eye(5)
+    extra = make_x(4)
+    extra[0, 2] = 0.5
+    yield extra
+    yield np.outer(np.ones(3), [0, 1, 0])  # d nonzero entries, none in column 0
+    yield np.array([[1.0]])
+    yield np.array([[2j]])
+    yield np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("g", list(almost_weyl_and_dense_gates()))
+def test_other_matrices_take_the_general_power(g):
+    for n in (-7, -2, -1, 0, 1, 2, 5, 9):
+        assert np.array_equal(gate_power(g, n), general_power(g, n))
+
+
+@pytest.mark.parametrize("n", [-41, 41])
+def test_integer_matrices_are_powered_in_complex_arithmetic(n):
+    # int64 would wrap 3^41 around to a negative number without a warning
+    got = gate_power(np.diag([3, 1]), n)
+    assert np.array_equal(got, gate_power(np.diag([3.0, 1.0]), n))
+    assert abs(got[0, 0] - 3.0**41) <= 1e-15 * 3.0**41
+
+
+def test_roots_of_unity_table_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        pauli._roots(5)[1] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3), (3, 4), (2, 2, 2), (1, 4)])
+def test_gate_power_rejects_non_square_input(shape):
+    with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
+        gate_power(np.ones(shape), 2)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("n", [-3, 0, 2])
+@pytest.mark.parametrize("i, j", [(2, 3), (2, 1)])  # off and on the nonzero pattern of X
+def test_gate_power_rejects_non_finite_entries(cell, n, i, j):
+    g = make_x(4)
+    g[i, j] = cell
+    with pytest.raises(ValueError, match=rf"gate entry \({i}, {j}\) is .*, not finite"):
+        gate_power(g, n)
