@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -128,71 +129,66 @@ def coefficients_from_json(text: str) -> np.ndarray:
     return _complex_table(re, im)
 
 
+#: The "type" tag of each element class in circuit JSON.
+_TAGS = {
+    SpiralPhasePlate: "spp",
+    Mirror: "mirror",
+    ParitySorter: "parity_sorter",
+    Recombiner: "recombiner",
+    PhaseShift: "phase",
+}
+#: Circuit JSON keys that differ from the element field they hold.
+_KEYS = {"delta_ell": "delta", "in_paths": "in", "reflected_parity": "reflect"}
+
+
+def _load_float(data: dict, key: str, context: str) -> float:
+    try:
+        value = float(_require(data, key, (int, float), context))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(f"{context}: field {key!r} must be finite")
+    return value
+
+
+def _load_paths(data: dict, key: str, context: str) -> tuple[str, ...]:
+    paths = _require(data, key, list, context)
+    if not all(isinstance(p, str) for p in paths):
+        raise SchemaError(f"{context}: field {key!r} must list path names")
+    return tuple(paths)
+
+
+#: (to JSON, from JSON) for each field type of the element classes.
+_CODECS = {
+    "str": (lambda v: v, lambda data, key, context: _require(data, key, str, context)),
+    "int": (int, lambda data, key, context: _require(data, key, int, context)),
+    "float": (float, _load_float),
+    "tuple[str, ...]": (list, _load_paths),
+}
+#: Per element class: its tag and (field, key, to JSON, from JSON) per field,
+#: in field order, which is the key order of the file.
+_SPECS = {
+    cls: (tag, [(f.name, _KEYS.get(f.name, f.name), *_CODECS[f.type]) for f in fields(cls)])
+    for cls, tag in _TAGS.items()
+}
+_BY_TAG = {tag: (cls, spec) for cls, (tag, spec) in _SPECS.items()}
+
+
 def _element_to_dict(e) -> dict:
-    if isinstance(e, SpiralPhasePlate):
-        return {"type": "spp", "path": e.path, "delta": int(e.delta_ell)}
-    if isinstance(e, Mirror):
-        return {"type": "mirror", "path": e.path}
-    if isinstance(e, ParitySorter):
-        return {
-            "type": "parity_sorter",
-            "in": list(e.in_paths),
-            "out_even": e.out_even,
-            "out_odd": e.out_odd,
-            "reflect": e.reflected_parity,
-        }
-    if isinstance(e, Recombiner):
-        return {
-            "type": "recombiner",
-            "in_even": e.in_even,
-            "in_odd": e.in_odd,
-            "out": e.out,
-            "mode": e.mode,
-            "reflect": e.reflect,
-        }
-    if isinstance(e, PhaseShift):
-        return {"type": "phase", "path": e.path, "phi": float(e.phi)}
-    raise ValueError(f"unknown element {e!r}")
+    try:
+        tag, spec = _SPECS[type(e)]
+    except KeyError:
+        raise ValueError(f"unknown element {e!r}") from None
+    return {"type": tag, **{key: dump(getattr(e, name)) for name, key, dump, _ in spec}}
 
 
 def _element_from_dict(data: dict, pos: int):
     context = f"circuit file: elements[{pos}]"
     kind = _require(data, "type", str, context)
-    if kind == "spp":
-        return SpiralPhasePlate(
-            _require(data, "path", str, context),
-            _require(data, "delta", int, context),
-        )
-    if kind == "mirror":
-        return Mirror(_require(data, "path", str, context))
-    if kind == "parity_sorter":
-        in_paths = _require(data, "in", list, context)
-        if not all(isinstance(p, str) for p in in_paths):
-            raise SchemaError(f"{context}: field 'in' must list path names")
-        return ParitySorter(
-            tuple(in_paths),
-            _require(data, "out_even", str, context),
-            _require(data, "out_odd", str, context),
-            _require(data, "reflect", str, context),
-        )
-    if kind == "recombiner":
-        return Recombiner(
-            _require(data, "in_even", str, context),
-            _require(data, "in_odd", str, context),
-            _require(data, "out", str, context),
-            _require(data, "mode", str, context),
-            _require(data, "reflect", str, context),
-        )
-    if kind == "phase":
-        path = _require(data, "path", str, context)
-        try:
-            phi = float(_require(data, "phi", (int, float), context))
-        except OverflowError:
-            phi = math.inf
-        if not math.isfinite(phi):
-            raise SchemaError(f"{context}: field 'phi' must be finite")
-        return PhaseShift(path, phi)
-    raise SchemaError(f"{context}: unknown element type {kind!r}")
+    if kind not in _BY_TAG:
+        raise SchemaError(f"{context}: unknown element type {kind!r}")
+    cls, spec = _BY_TAG[kind]
+    return cls(*[load(data, key, context) for _, key, _, load in spec])
 
 
 def circuit_to_json(circuit: OpticalCircuit) -> str:

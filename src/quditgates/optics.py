@@ -31,8 +31,8 @@ an ideal recombiner, which has two slots), and a batch of density
 operators goes through it in one pass: every noisy element maps rho to the
 mean of K rho K^dagger over its operators (the operator-sum form), so the
 cost grows linearly with k.  Runs of noise-free elements are folded into
-the next noisy element.  Every element defines its per-key action once
-(:class:`_Element`); :func:`apply_element` and the compiler both read it.
+the next noisy element.  Every element defines its per-key action and its
+topology once (:class:`_Element`) for propagation, compilation and checks.
 
 A bounded cache keyed by the frozen circuit keeps its compiled form and
 ideal window transfer.  One pass can carry a batch of visibilities.  Each
@@ -67,10 +67,10 @@ from .pauli import SubspaceMap, check_dim, require_finite, shift_clock
 #: Amplitude map: (path, OAM label) -> complex amplitude.
 Amplitudes = dict[tuple[str, int], complex]
 
-#: Circuit kinds accepted by :func:`build_gate_circuit`.
-GATE_KINDS = ("X", "X2", "Xdagger")
 #: Power of the shift X that each gate kind realizes.
 _SHIFTS = {"X": 1, "X2": 2, "Xdagger": -1}
+#: Circuit kinds accepted by :func:`build_gate_circuit`.
+GATE_KINDS = tuple(_SHIFTS)
 
 
 #: Entries of each compiled-form cache: room for the three gate circuits on
@@ -102,19 +102,25 @@ def _noise_factors(v, throughput: float) -> dict:
 
 
 class _Element:
-    """Per-key physics of one element, read by :func:`apply_element` and the
-    compiled propagation alike.
+    """Per-key physics and topology of one element.
 
     `inputs` names the paths the element acts on; amplitudes elsewhere pass
-    through untouched.  `routes(path, ell)` lists where an amplitude on an
-    input path goes, each destination with the names of the weight factors
-    it is multiplied by, in order.  `weights(factors, split_sign, phase_sign)`
-    gives those factors' values on one noise branch from the noise's
+    through untouched.  `outputs` lists the new paths that replace them, if
+    any (`outputs_rule` is the error when one is live), and `field_error()`
+    names the first of the element's field rules it breaks, or is None.
+    `routes(path, ell)` lists where an amplitude on an input path goes, each
+    destination with the names of the weight factors it is multiplied by,
+    in order.  `weights(factors, split_sign, phase_sign)` gives those
+    factors' values on one noise branch from the noise's
     :func:`_noise_factors`, and `noise_slots` names the element's random
     signs ('split', 'phase').
     """
 
     noise_slots = ()
+    outputs = ()
+
+    def field_error(self):
+        return None
 
     def weights(self, factors, split_sign, phase_sign):
         w = dict(factors)
@@ -172,10 +178,21 @@ class ParitySorter(_Element):
     reflected_parity: str = "even"
 
     noise_slots = ("split",)
+    outputs_rule = "sorter outputs must be new paths"
 
     @property
     def inputs(self):
         return self.in_paths
+
+    @property
+    def outputs(self):
+        return (self.out_even, self.out_odd)
+
+    def field_error(self):
+        if len(self.in_paths) != 1:
+            return "parity sorter takes exactly one input path"
+        if self.reflected_parity not in ("even", "odd"):
+            return "reflected_parity must be 'even' or 'odd'"
 
     def routes(self, path, ell):
         even, odd = self.out_even, self.out_odd
@@ -209,9 +226,23 @@ class Recombiner(_Element):
     mode: str = "lossy_pbs"
     reflect: str = "odd"
 
+    outputs_rule = "recombiner output must be new"
+
     @property
     def inputs(self):
         return (self.in_even, self.in_odd)
+
+    @property
+    def outputs(self):
+        return (self.out, self.out + ".discard")
+
+    def field_error(self):
+        if self.mode not in ("ideal", "lossy_pbs"):
+            return f"unknown recombiner mode {self.mode!r}"
+        if self.reflect not in ("even", "odd", "none"):
+            return "reflect must be 'even', 'odd' or 'none'"
+        if self.in_even == self.in_odd:
+            return "recombiner arms must differ"
 
     @property
     def noise_slots(self):
@@ -225,7 +256,7 @@ class Recombiner(_Element):
             return ((key, (*phase, "tau")),)
         matched = (ell % 2 == 0) == (arm == "even")
         out, discard = ("keep", "leak") if matched else ("leak", "keep")
-        rejected = (_discard_path(self.out), key[1])
+        rejected = (self.outputs[1], key[1])
         return ((key, (*phase, out)), (rejected, (*phase, discard)))
 
 
@@ -294,51 +325,22 @@ class OpticalCircuit:
         _validate_topology(self)
 
 
-def _discard_path(out: str) -> str:
-    return out + ".discard"
-
-
 def _validate_topology(circuit: OpticalCircuit) -> None:
-    """Walk the element sequence keeping the set of live paths."""
+    """Walk the elements keeping the live paths: inputs live, outputs new."""
     live = {circuit.input_path}
     for pos, e in enumerate(circuit.elements):
-        if isinstance(e, (SpiralPhasePlate, Mirror, PhaseShift)):
-            if e.path not in live:
-                raise CircuitError(f"element {pos}: dead path reference {e.path!r}")
-        elif isinstance(e, ParitySorter):
-            if len(e.in_paths) != 1:
-                raise CircuitError(
-                    f"element {pos}: parity sorter takes exactly one input path"
-                )
-            if e.reflected_parity not in ("even", "odd"):
-                raise CircuitError(
-                    f"element {pos}: reflected_parity must be 'even' or 'odd'"
-                )
-            (src,) = e.in_paths
+        if not isinstance(e, OpticalElement):
+            raise CircuitError(f"element {pos}: unknown element {e!r}")
+        if problem := e.field_error():
+            raise CircuitError(f"element {pos}: {problem}")
+        for src in e.inputs:
             if src not in live:
                 raise CircuitError(f"element {pos}: dead path reference {src!r}")
-            if e.out_even in live or e.out_odd in live or e.out_even == e.out_odd:
-                raise CircuitError(f"element {pos}: sorter outputs must be new paths")
-            live.discard(src)
-            live.update((e.out_even, e.out_odd))
-        elif isinstance(e, Recombiner):
-            if e.mode not in ("ideal", "lossy_pbs"):
-                raise CircuitError(f"element {pos}: unknown recombiner mode {e.mode!r}")
-            if e.reflect not in ("even", "odd", "none"):
-                raise CircuitError(
-                    f"element {pos}: reflect must be 'even', 'odd' or 'none'"
-                )
-            for src in (e.in_even, e.in_odd):
-                if src not in live:
-                    raise CircuitError(f"element {pos}: dead path reference {src!r}")
-            if e.in_even == e.in_odd:
-                raise CircuitError(f"element {pos}: recombiner arms must differ")
-            if e.out in live or _discard_path(e.out) in live:
-                raise CircuitError(f"element {pos}: recombiner output must be new")
-            live.difference_update((e.in_even, e.in_odd))
-            live.update((e.out, _discard_path(e.out)))
-        else:
-            raise CircuitError(f"element {pos}: unknown element {e!r}")
+        if new := e.outputs:
+            if not live.isdisjoint(new) or len(set(new)) < len(new):
+                raise CircuitError(f"element {pos}: {e.outputs_rule}")
+            live.difference_update(e.inputs)
+            live.update(new)
     if circuit.output_path not in live:
         raise CircuitError(
             f"output path {circuit.output_path!r} is not live after the last element"
@@ -690,11 +692,17 @@ def _row_totals(m: np.ndarray, context: str) -> np.ndarray:
     raise ValueError(f"{context}: row {i} sums to {totals[i]}, not a finite number")
 
 
+def _shift(kind: str) -> int:
+    """The power of X that gate `kind` realizes; ValueError for any other kind."""
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
+    return _SHIFTS[kind]
+
+
 def expected_permutation(kind: str, d: int = 4) -> list[int]:
     """Target output column for each input row under a given gate kind."""
-    if kind not in _SHIFTS:
-        raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
-    return [(i + _SHIFTS[kind]) % d for i in range(d)]
+    shift = _shift(kind)
+    return [(i + shift) % d for i in range(d)]
 
 
 def build_gate_circuit(kind: str, window: SubspaceMap) -> OpticalCircuit:
@@ -714,8 +722,7 @@ def build_gate_circuit(kind: str, window: SubspaceMap) -> OpticalCircuit:
     * Xdagger: sort, two reflections in the even arm and one in the odd
       arm, recombine, then shift -1.
     """
-    if kind not in GATE_KINDS:
-        raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
+    _shift(kind)
     if window.dim != 4:
         raise CircuitError(
             f"gate circuits require a 4-dimensional window, got dim {window.dim}"
@@ -766,8 +773,7 @@ def trace_modes(kind: str, inputs: tuple[int, ...] = (-2, -1, 0, 1)) -> tuple[in
     independent of the amplitude machinery, so it cross-checks the element
     sequences of :func:`build_gate_circuit`.
     """
-    if kind not in GATE_KINDS:
-        raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
+    _shift(kind)
     out = []
     for ell in inputs:
         if kind == "X":
@@ -956,8 +962,7 @@ def calibrate_visibility(
             f"target mean efficiency must lie in (0.25, 1], got "
             f"{target_mean_efficiency}"
         )
-    if kind not in GATE_KINDS:
-        raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
+    _shift(kind)
     NoiseParams(1.0, throughput)  # validates the throughput
     curve, values = _efficiency_curve(kind, float(throughput))
     if np.any(values[1:] < values[:-1] - 1e-12):
@@ -1013,6 +1018,4 @@ def monte_carlo_counts(
 
 def ideal_gate_matrix(kind: str, d: int = 4) -> np.ndarray:
     """The logical-space gate a given circuit kind is meant to realize."""
-    if kind not in _SHIFTS:
-        raise ValueError(f"unsupported gate kind {kind!r}; expected one of {GATE_KINDS}")
-    return shift_clock(_SHIFTS[kind], 0, d)
+    return shift_clock(_shift(kind), 0, d)

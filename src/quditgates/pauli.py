@@ -154,10 +154,17 @@ def dagger(g: np.ndarray) -> np.ndarray:
 
 
 def require_finite(g: np.ndarray) -> None:
-    """Raise ValueError naming the first NaN or infinite entry of matrix g."""
+    """Raise ValueError naming the first NaN or infinite entry of a gate
+    matrix or state vector g."""
     if not np.isfinite(g).all():
-        i, j = (int(x) for x in np.argwhere(~np.isfinite(g))[0])
-        raise ValueError(f"gate entry ({i}, {j}) is {g[i, j]}, not finite")
+        at = tuple(int(x) for x in np.argwhere(~np.isfinite(g))[0])
+        where = f"gate entry {at}" if g.ndim == 2 else f"state entry {at[0]}"
+        raise ValueError(f"{where} is {g[at]}, not finite")
+
+
+def _require_square(g: np.ndarray) -> None:
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"gate must be a square matrix, got shape {g.shape}")
 
 
 def gate_power(g: np.ndarray, n: int) -> np.ndarray:
@@ -179,8 +186,7 @@ def gate_power(g: np.ndarray, n: int) -> np.ndarray:
     """
     n = _check_exponent(n)
     g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"gate must be a square matrix, got shape {g.shape}")
+    _require_square(g)
     exponents = _weyl_exponents(g)
     if exponents is not None:
         a, b = exponents
@@ -195,17 +201,19 @@ def gate_power(g: np.ndarray, n: int) -> np.ndarray:
 def apply_gate(g: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Apply a gate to a state vector (matrix-vector product).
 
-    Raises ValueError when the operand shapes are incompatible.
+    Raises ValueError when the operand shapes are incompatible or an entry
+    of either is NaN or infinite.
     """
     g = np.asarray(g, dtype=complex)
     state = np.asarray(state, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"gate must be a square matrix, got shape {g.shape}")
+    _require_square(g)
     if state.shape != (g.shape[0],):
         raise ValueError(
             f"incompatible operands: gate is {g.shape[0]}x{g.shape[1]} "
             f"but state has shape {state.shape}"
         )
+    require_finite(g)
+    require_finite(state)
     return g @ state
 
 
@@ -220,14 +228,18 @@ def basis_state(d: int, j: int) -> np.ndarray:
 
 
 def is_unitary(g: np.ndarray, atol: float = ATOL) -> bool:
-    """True when conj(g).T @ g is the identity within `atol` (Frobenius)."""
+    """True when conj(g).T @ g is the identity within `atol` (Frobenius);
+    ValueError unless g is a square matrix."""
     g = np.asarray(g)
+    _require_square(g)
     return bool(np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) <= atol)
 
 
 def is_hermitian(g: np.ndarray, atol: float = ATOL) -> bool:
-    """True when g equals its conjugate transpose within `atol` (Frobenius)."""
+    """True when g equals its conjugate transpose within `atol` (Frobenius);
+    ValueError unless g is a square matrix."""
     g = np.asarray(g)
+    _require_square(g)
     return bool(np.linalg.norm(g - g.conj().T) <= atol)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import ATOL, check_dim, dagger, shift_clock
+from .pauli import ATOL, _weyl, check_dim, dagger
 
 #: Mixing constant for the Hermitian basis.
 CHI = (1 + 1j) / 2
@@ -37,8 +37,8 @@ def weyl_operator(l: int, m: int, d: int) -> np.ndarray:
     """
     d = check_dim(d)
     _check_index(l, m, d)
-    phase = np.exp(1j * np.pi * l * m / d)
-    return phase * shift_clock(0, l, d) @ shift_clock(m, 0, d)
+    # Z^l X^m = omega^(lm) X^m Z^l, built exactly from integer exponents
+    return np.exp(1j * np.pi * l * m / d) * _weyl(m, l, l * m, d)
 
 
 def _check_table(a: np.ndarray, what: str) -> int:

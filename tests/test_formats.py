@@ -1,3 +1,6 @@
+import json
+import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +11,21 @@ from hypothesis.extra import numpy as hnp
 
 from quditgates import (
     IDEAL,
+    Mirror,
     NoiseParams,
+    OpticalCircuit,
+    ParitySorter,
+    PhaseShift,
+    Recombiner,
+    SpiralPhasePlate,
     SubspaceMap,
     build_gate_circuit,
     correlation_matrix,
     propagate,
     random_unitary,
 )
+from quditgates import formats
+from quditgates.optics import OpticalElement
 from quditgates.formats import (
     CSV_CORNER,
     SchemaError,
@@ -129,6 +140,86 @@ def test_circuit_json_errors():
         )
     with pytest.raises(SchemaError, match="'oam_offset'"):
         circuit_from_json('{"dim": 4, "elements": [], "input": "in", "output": "in"}')
+
+
+def test_x2_circuit_json_matches_the_golden_file():
+    golden = (DATA / "x2_circuit.json").read_text()
+    circuit = build_gate_circuit("X2", WINDOW)
+    assert circuit_to_json(circuit) == golden
+    assert circuit_from_json(golden) == circuit
+
+
+def test_every_element_class_has_a_tag_and_round_trips_byte_exact():
+    classes = set(typing.get_args(OpticalElement))
+    assert classes == set(formats._TAGS)
+    elements = (
+        SpiralPhasePlate("in", -3),
+        Mirror("in"),
+        PhaseShift("in", -0.0),
+        ParitySorter(("in",), "e", "o", "odd"),
+        Recombiner("e", "o", "out", "ideal", "none"),
+    )
+    assert {type(e) for e in elements} == classes  # one element of every class
+    text = circuit_to_json(OpticalCircuit(4, WINDOW, elements))
+    assert circuit_from_json(text) == OpticalCircuit(4, WINDOW, elements)
+    assert circuit_to_json(circuit_from_json(text)) == text
+
+
+#: One valid dict per element type, its keys in file order.
+ELEMENT_DICTS = [
+    {"type": "spp", "path": "in", "delta": 1},
+    {"type": "mirror", "path": "in"},
+    {"type": "parity_sorter", "in": ["in"], "out_even": "e", "out_odd": "o", "reflect": "even"},
+    {"type": "recombiner", "in_even": "e", "in_odd": "o", "out": "m", "mode": "ideal", "reflect": "odd"},
+    {"type": "phase", "path": "in", "phi": 0.5},
+]
+#: A value of the wrong JSON type for a key holding each kind of value.
+WRONG_TYPE = {str: 1, int: "1", float: "0.5", list: "in"}
+
+
+def _schema_cases():
+    prefix = "circuit file: elements[0]: "
+    for element in ELEMENT_DICTS:
+        for key, value in element.items():
+            tag = f"{element['type']}-{key}"
+            missing = {k: v for k, v in element.items() if k != key}
+            yield pytest.param(missing, prefix + f"missing field {key!r}", id=f"{tag}-missing")
+            wrong = f"field {key!r} has the wrong type"
+            for bad in (WRONG_TYPE[type(value)], True, None, {}):
+                yield pytest.param({**element, key: bad}, prefix + wrong, id=f"{tag}-{bad!r}")
+    sorter = ELEMENT_DICTS[2]
+    for paths in (["in", 1], [None], [["in"]]):
+        yield pytest.param(
+            {**sorter, "in": paths}, prefix + "field 'in' must list path names", id=f"in-{paths!r}"
+        )
+    yield pytest.param({"type": "warp"}, prefix + "unknown element type 'warp'", id="unknown-type")
+    yield pytest.param({**sorter, "type": "sorter"}, prefix + "unknown element type 'sorter'", id="sorter-tag")
+    yield pytest.param([], prefix + "expected a JSON object", id="not-an-object")
+
+
+def test_an_integer_phi_reads_as_a_float():
+    element = {"type": "phase", "path": "in", "phi": 1}
+    text = json.dumps(
+        {"dim": 4, "oam_offset": -2, "elements": [element], "input": "in", "output": "in"}
+    )
+    circuit = circuit_from_json(text)
+    assert circuit.elements == (PhaseShift("in", 1.0),)
+    assert '"phi": 1.0' in circuit_to_json(circuit)
+
+
+def test_numeric_fields_are_written_as_json_numbers():
+    elements = (SpiralPhasePlate("in", np.int64(2)), PhaseShift("in", 1))
+    text = circuit_to_json(OpticalCircuit(4, WINDOW, elements, output_path="in"))
+    assert '"delta": 2\n' in text and '"phi": 1.0\n' in text
+
+
+@pytest.mark.parametrize("element, message", _schema_cases())
+def test_every_element_schema_error_keeps_its_message(element, message):
+    text = json.dumps(
+        {"dim": 4, "oam_offset": -2, "elements": [element], "input": "in", "output": "in"}
+    )
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        circuit_from_json(text)
 
 
 def test_count_csv_probabilities_format():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,23 @@ def test_symbolic_trace_reproduces_caption_tuples():
 def test_symbolic_trace_rejects_unknown_kind():
     with pytest.raises(ValueError):
         trace_modes("X3")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: build_gate_circuit(kind, SubspaceMap(5, -2)),
+        expected_permutation,
+        trace_modes,
+        lambda kind: calibrate_visibility(kind, 0.8),
+        ideal_gate_matrix,
+    ],
+)
+@pytest.mark.parametrize("kind", ["X3", "Z", "x", ""])
+def test_every_gate_kind_check_keeps_its_message(call, kind):
+    message = f"unsupported gate kind {kind!r}; expected one of ('X', 'X2', 'Xdagger')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(kind)
 
 
 @pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
@@ -139,6 +157,14 @@ def test_ideal_recombiner_conserves_probability_per_branch():
             merge, state, NoiseParams(0.7, 1.0), split_sign=split_sign
         )
         assert total_probability(out) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ideal_recombiner_rejects_mismatched_parity_to_the_discard_path():
+    merge = Recombiner("even", "odd", "out", mode="ideal", reflect="odd")
+    out = apply_element(merge, {("even", 1): 1.0 + 0j}, NoiseParams(0.6, 1.0))
+    assert set(out) == {("out", 1), ("out.discard", 1)}
+    assert abs(out[("out", 1)]) ** 2 == pytest.approx(0.2, abs=1e-12)
+    assert abs(out[("out.discard", 1)]) ** 2 == pytest.approx(0.8, abs=1e-12)
 
 
 def test_propagate_empty_circuit_is_identity():
@@ -361,6 +387,64 @@ def test_circuit_topology_validation():
                 Recombiner("even", "odd", "out", mode="sideways"),
             ),
         )
+
+
+SORT = ParitySorter(("in",), "even", "odd")
+MERGE = Recombiner("even", "odd", "m")
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ((Mirror("nope"),), "element 0: dead path reference 'nope'"),
+        ((SpiralPhasePlate("nope", 1),), "element 0: dead path reference 'nope'"),
+        ((PhaseShift("in", 0.1), PhaseShift("x", 0.1)), "element 1: dead path reference 'x'"),
+        (
+            (ParitySorter(("in", "in2"), "even", "odd"),),
+            "element 0: parity sorter takes exactly one input path",
+        ),
+        ((ParitySorter((), "even", "odd"),), "element 0: parity sorter takes exactly one input path"),
+        (
+            (ParitySorter(("in",), "even", "odd", "both"),),
+            "element 0: reflected_parity must be 'even' or 'odd'",
+        ),
+        ((ParitySorter(("x",), "even", "odd"),), "element 0: dead path reference 'x'"),
+        ((ParitySorter(("in",), "in", "odd"),), "element 0: sorter outputs must be new paths"),
+        ((ParitySorter(("in",), "even", "in"),), "element 0: sorter outputs must be new paths"),
+        ((ParitySorter(("in",), "a", "a"),), "element 0: sorter outputs must be new paths"),
+        (
+            (SORT, SpiralPhasePlate("odd", 1), ParitySorter(("odd",), "even", "b")),
+            "element 2: sorter outputs must be new paths",
+        ),
+        (
+            (SORT, Recombiner("even", "odd", "m", mode="sideways")),
+            "element 1: unknown recombiner mode 'sideways'",
+        ),
+        (
+            (SORT, Recombiner("even", "odd", "m", reflect="both")),
+            "element 1: reflect must be 'even', 'odd' or 'none'",
+        ),
+        ((SORT, Recombiner("x", "odd", "m")), "element 1: dead path reference 'x'"),
+        ((SORT, Recombiner("even", "x", "m")), "element 1: dead path reference 'x'"),
+        ((SORT, Mirror("in")), "element 1: dead path reference 'in'"),
+        ((SORT, MERGE, Mirror("odd")), "element 2: dead path reference 'odd'"),
+        ((SORT, Recombiner("even", "even", "m")), "element 1: recombiner arms must differ"),
+        # field rules come before the live-path checks
+        ((SORT, Recombiner("x", "x", "m")), "element 1: recombiner arms must differ"),
+        ((SORT, Recombiner("even", "odd", "odd")), "element 1: recombiner output must be new"),
+        (
+            (SORT, MERGE, ParitySorter(("m",), "a", "b"), Recombiner("a", "b", "m")),
+            "element 3: recombiner output must be new",
+        ),
+        (("mirror",), "element 0: unknown element 'mirror'"),
+        ((Mirror("in"), None), "element 1: unknown element None"),
+        ((SORT,), "output path 'out' is not live after the last element"),
+        ((SORT, MERGE), "output path 'out' is not live after the last element"),
+    ],
+)
+def test_every_topology_error_keeps_its_message(elements, message):
+    with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+        OpticalCircuit(4, WINDOW, elements, output_path="out")
 
 
 def test_noise_params_validation():

@@ -11,6 +11,7 @@ from quditgates import (
     basis_state,
     dagger,
     gate_power,
+    is_hermitian,
     is_unitary,
     make_x,
     make_y,
@@ -321,3 +322,22 @@ def test_gate_power_rejects_non_finite_entries(cell, n, i, j):
     g[i, j] = cell
     with pytest.raises(ValueError, match=rf"gate entry \({i}, {j}\) is .*, not finite"):
         gate_power(g, n)
+
+
+@pytest.mark.parametrize("check", [is_unitary, is_hermitian])
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3), (2, 2, 2), (1, 4)])
+def test_unitary_and_hermitian_checks_reject_non_square_input(check, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be a square matrix, got shape {shape}")):
+        check(np.ones(shape))
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_apply_gate_rejects_non_finite_gates_and_states(cell):
+    g = make_x(4)
+    g[2, 1] = cell
+    with pytest.raises(ValueError, match=r"^gate entry \(2, 1\) is .*, not finite$"):
+        apply_gate(g, basis_state(4, 0))
+    state = basis_state(4, 0)
+    state[3] = cell
+    with pytest.raises(ValueError, match=r"^state entry 3 is .*, not finite$"):
+        apply_gate(make_x(4), state)

@@ -84,6 +84,15 @@ def test_displacement_phase_d4():
     assert np.allclose(weyl_operator(2, 2, 4), -z2x2, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [*range(2, 13), 16, 31])
+def test_displacement_equals_the_dense_product(d):
+    for l in range(d):
+        for m in range(d):
+            phase = np.exp(1j * np.pi * l * m / d)
+            dense = phase * shift_clock(0, l, d) @ shift_clock(m, 0, d)
+            assert np.array_equal(weyl_operator(l, m, d), dense)
+
+
 def test_displacement_unitary_all_indices():
     for d in (2, 3, 4, 5):
         for l in range(d):
