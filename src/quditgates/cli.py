@@ -102,13 +102,9 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def gates(dim: int, gate: str, power: int, fmt: str, out: str | None) -> None:
     """Print a generalized Pauli gate matrix raised to an integer power."""
-    a, b = {"X": (power, 0), "Z": (0, power), "Y": (power, power)}[gate]
+    make = {"X": pauli.make_x, "Z": pauli.make_z, "Y": pauli.make_y}[gate]
     with _dense_dim(dim):
-        matrix = pauli.shift_clock(a, b, dim)
-        if gate == "Y":
-            # (XZ)^n = omega^(n(n-1)/2) X^n Z^n, the exponent reduced mod d exactly
-            matrix *= np.exp(2j * np.pi * ((power * (power - 1) // 2) % dim) / dim)
-        text = _matrix_output(matrix, fmt)
+        text = _matrix_output(pauli.gate_power(make(dim), power), fmt)
     _emit(text, out)
 
 

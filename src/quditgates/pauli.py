@@ -4,15 +4,16 @@ The two generators are the cyclic shift X (|l> -> |l+1 mod d>) and the
 clock Z (|l> -> omega^l |l>, omega = exp(2*pi*i/d)).  Together with their
 integer powers they satisfy X^d = Z^d = I and X.Z = omega^(-1) Z.X, and
 span the full operator algebra (see :mod:`quditgates.weyl`).
-:func:`shift_clock` builds X^a Z^b exactly, by index arithmetic mod d, and
+:func:`shift_clock` builds X^a Z^b exactly, from exponents reduced mod d, and
 :func:`gate_power` raises any matrix that is exactly some X^a Z^b to an
 integer power the same way; every other matrix takes the general dense
 matrix power.
 
 All values are plain complex numpy arrays, immutable by convention; every
-function is pure.  The only shared state is a bounded cache of read-only
-tables of the d-th roots of unity, so everything here is safe to share
-across threads.
+function is pure.  The only shared state is :func:`_tables`, a bounded cache
+of read-only per-dimension tables built on first use, never at import: each
+dimension keeps 16*d^2 + 32*d bytes, one d x d complex matrix's worth (17 KiB
+at d = 32).  So everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 #: Frobenius-norm tolerance for the algebraic identities used throughout.
 ATOL = 1e-12
 
-#: Dimensions whose table of roots of unity is kept, one length-d vector each.
+#: Dimensions whose tables (:func:`_tables`) are kept.
 _ROOTS_CACHE_SIZE = 64
 
 
@@ -45,30 +46,28 @@ def omega(d: int) -> complex:
     return complex(np.exp(2j * np.pi / check_dim(d)))
 
 
-def _check_exponent(n: int) -> int:
+def _check_integer(n: int, what: str = "power") -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"power must be an integer, got {n!r}")
+        raise ValueError(f"{what} must be an integer, got {n!r}")
     return int(n)
 
 
 @lru_cache(maxsize=_ROOTS_CACHE_SIZE)
-def _roots(d: int) -> np.ndarray:
-    """Read-only table of omega^k, k = 0..d-1."""
-    roots = np.exp(2j * np.pi * np.arange(d) / d)
-    roots.flags.writeable = False
-    return roots
-
-
-def _phases(b: int, c: int, d: int) -> np.ndarray:
-    """omega^((c + b*l) mod d) for l = 0..d-1, with b and c in [0, d)."""
-    step = b or d  # b = 0 steps by d, which is 0 mod d too
-    return _roots(d)[np.arange(c, c + step * d, step) % d]
-
-
-def _runs(flat: np.ndarray, a: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the entries (l + a mod d, l) of a flattened d x d matrix,
-    0 <= a < d: the strided run l < d - a, then the wrapped run l >= d - a."""
-    return flat[a * d :: d + 1], flat[d - a : a * d : d + 1]
+def _tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables for X^a Z^b at dimension d: roots2[j] = omega^(j mod d)
+    for j < 2d, E[b, l] = b*l mod d and P[a, l], the flat index of the entry
+    (l + a mod d, l), so omega^c X^a Z^b holds roots2[c:][E[b]] at P[a] for
+    a, b, c in [0, d).  E and P are intp: narrower indices gather slower."""
+    k = np.arange(d)
+    roots = np.exp(2j * np.pi * k / d)
+    tables = (
+        np.concatenate((roots, roots)),
+        np.outer(k, k) % d,
+        (k[:, None] + k) % d * d + k,
+    )
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _weyl(a: int, b: int, c: int, d: int) -> np.ndarray:
@@ -79,10 +78,8 @@ def _weyl(a: int, b: int, c: int, d: int) -> np.ndarray:
     """
     a, b, c = a % d, b % d, c % d
     out = np.zeros(d * d, dtype=complex)  # first: a too-large d fails at once
-    phases = _phases(b, c, d)
-    head, tail = _runs(out, a, d)
-    head[:] = phases[: d - a]
-    tail[:] = phases[d - a :]
+    roots2, expo, place = _tables(d)
+    out[place[a]] = roots2[c:][expo[b]]
     return out.reshape(d, d)
 
 
@@ -105,9 +102,8 @@ def _weyl_exponents(g: np.ndarray) -> tuple[int, int] | None:
     if math.isnan(turns):
         return None
     b = round(turns) % d
-    want = _phases(b, 0, d)
-    head, tail = _runs(g.reshape(-1), a, d)
-    if np.count_nonzero(head != want[: d - a]) or np.count_nonzero(tail != want[d - a :]):
+    roots2, expo, place = _tables(d)
+    if np.count_nonzero(g.reshape(-1)[place[a]] != roots2[expo[b]]):
         return None
     return a, b
 
@@ -121,7 +117,7 @@ def shift_clock(a: int, b: int, d: int) -> np.ndarray:
     exact as Z^2.
     """
     d = check_dim(d)
-    return _weyl(_check_exponent(a), _check_exponent(b), 0, d)
+    return _weyl(_check_integer(a), _check_integer(b), 0, d)
 
 
 def make_x(d: int) -> np.ndarray:
@@ -184,7 +180,7 @@ def gate_power(g: np.ndarray, n: int) -> np.ndarray:
     square 2-D matrix, or (on the general path) has a NaN or infinite
     entry, raises ValueError.
     """
-    n = _check_exponent(n)
+    n = _check_integer(n)
     g = np.asarray(g)
     _require_square(g)
     exponents = _weyl_exponents(g)
@@ -220,6 +216,7 @@ def apply_gate(g: np.ndarray, state: np.ndarray) -> np.ndarray:
 def basis_state(d: int, j: int) -> np.ndarray:
     """Computational basis vector |j> of a d-level system."""
     d = check_dim(d)
+    j = _check_integer(j, "basis index")
     if not 0 <= j < d:
         raise ValueError(f"basis index {j} out of range for dimension {d}")
     v = np.zeros(d, dtype=complex)
@@ -257,10 +254,7 @@ class SubspaceMap:
 
     def __post_init__(self) -> None:
         check_dim(self.dim)
-        if isinstance(self.oam_offset, bool) or not isinstance(
-            self.oam_offset, (int, np.integer)
-        ):
-            raise ValueError(f"oam_offset must be an integer, got {self.oam_offset!r}")
+        _check_integer(self.oam_offset, "oam_offset")
 
     @property
     def oam_labels(self) -> tuple[int, ...]:
@@ -269,6 +263,7 @@ class SubspaceMap:
 
     def to_oam(self, logical: int) -> int:
         """OAM label of a logical index; raises on out-of-range input."""
+        logical = _check_integer(logical, "logical index")
         if not 0 <= logical < self.dim:
             raise ValueError(
                 f"logical index {logical} out of range [0, {self.dim - 1}]"
@@ -277,7 +272,7 @@ class SubspaceMap:
 
     def to_logical(self, ell: int) -> int:
         """Logical index of an OAM label; raises when outside the window."""
-        j = ell - self.oam_offset
+        j = _check_integer(ell, "OAM label") - self.oam_offset
         if not 0 <= j < self.dim:
             raise ValueError(
                 f"OAM label {ell} outside window "

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import ATOL, _weyl, check_dim, dagger
+from .pauli import ATOL, _check_integer, _tables, _weyl, check_dim, dagger
 
 #: Mixing constant for the Hermitian basis.
 CHI = (1 + 1j) / 2
 
 
-def _check_index(l: int, m: int, d: int) -> None:
+def _check_index(l: int, m: int, d: int) -> tuple[int, int]:
+    l, m = _check_integer(l, "index"), _check_integer(m, "index")
     if not (0 <= l < d and 0 <= m < d):
         raise ValueError(f"index ({l}, {m}) out of range [0, {d - 1}]^2")
+    return l, m
 
 
 def weyl_operator(l: int, m: int, d: int) -> np.ndarray:
@@ -36,7 +38,7 @@ def weyl_operator(l: int, m: int, d: int) -> np.ndarray:
     latter phase Q(1,1) and Q(3,3) coincide, dropping the span by two).
     """
     d = check_dim(d)
-    _check_index(l, m, d)
+    l, m = _check_index(l, m, d)
     # Z^l X^m = omega^(lm) X^m Z^l, built exactly from integer exponents
     return np.exp(1j * np.pi * l * m / d) * _weyl(m, l, l * m, d)
 
@@ -108,16 +110,16 @@ def decompose(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     d = _check_table(u, "matrix")
-    k = np.arange(d)
-    return np.fft.fft(u[(k + k[:, None]) % d, k], axis=1) / d
+    return np.fft.fft(u.reshape(-1)[_tables(d)[2]], axis=1) / d
 
 
 def reconstruct(h: np.ndarray) -> np.ndarray:
     """Matrix sum_{l,m} h[l,m] X^l Z^m; d * ifft(h[l]) is its l-th cyclic diagonal."""
     h = np.asarray(h, dtype=complex)
     d = _check_table(h, "coefficient table")
-    k = np.arange(d)
-    return (d * np.fft.ifft(h, axis=1))[(k[:, None] - k) % d, k]
+    out = np.empty(d * d, dtype=complex)
+    out[_tables(d)[2]] = d * np.fft.ifft(h, axis=1)
+    return out.reshape(d, d)
 
 
 def random_unitary(d: int, seed: int) -> np.ndarray:

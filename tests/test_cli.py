@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from quditgates import make_x, make_z, gate_power
+from quditgates import make_x, make_y, make_z, gate_power
 from quditgates.cli import main
 from quditgates.formats import matrix_from_json, matrix_to_json
 
@@ -51,6 +51,15 @@ def test_gates_huge_power_is_exact(runner, gate, dim, power, want):
                                   "--power", str(power), "--format", "json"])
     assert result.exit_code == 0
     assert np.array_equal(matrix_from_json(result.stdout), want)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 8, 12])
+def test_gates_y_power_is_the_exact_power(runner, dim):
+    for power in range(-5, 9):
+        result = runner.invoke(main, ["gates", "--dim", str(dim), "--gate", "Y",
+                                      "--power", str(power), "--format", "json"])
+        assert result.exit_code == 0
+        assert result.stdout == matrix_to_json(gate_power(make_y(dim), power))
 
 
 def test_gates_text_output(runner):
@@ -105,6 +114,7 @@ def test_synth_round_trip_verify(runner, tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["gates", "--gate", "X"],
+    ["gates", "--gate", "Y", "--power", "3"],
     ["synth", "random-unitary"],
 ])
 def test_dimension_too_large_to_allocate_exits_4(runner, args):

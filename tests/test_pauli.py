@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +21,13 @@ from quditgates import (
     make_y,
     make_z,
     omega,
+    q_basis,
     shift_clock,
+    weyl_operator,
 )
 from quditgates import pauli
+
+from oracles import index_weyl
 
 np_rng = np.random.default_rng(20240901)
 
@@ -206,6 +214,12 @@ def test_shift_clock_is_exactly_periodic(d, a, b, j, k):
 
 
 @settings(deadline=None)
+@given(st.integers(2, 64), st.integers(), st.integers())
+def test_shift_clock_matches_the_index_formula(d, a, b):
+    assert np.array_equal(shift_clock(a, b, d), index_weyl(a, b, 0, d))
+
+
+@settings(deadline=None)
 @given(st.integers(2, 8).flatmap(
     lambda d: st.tuples(st.just(d), st.integers(-3 * d, 3 * d))))
 def test_y_power_phase_formula(dn):
@@ -304,8 +318,66 @@ def test_integer_matrices_are_powered_in_complex_arithmetic(n):
 
 
 def test_roots_of_unity_table_is_read_only():
-    with pytest.raises(ValueError, match="read-only"):
-        pauli._roots(5)[1] = 1.0
+    # and so is every other cached table; the index tables are intp
+    roots2, expo, place = pauli._tables(5)
+    for table in (roots2, expo, place):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 1
+    assert expo.dtype == place.dtype == np.intp
+
+
+def test_matrices_failing_the_cheap_checks_build_no_table():
+    two_in_column_0 = np.eye(67)
+    two_in_column_0[5, 0], two_in_column_0[5, 5] = 1, 0
+    cheap_failures = [
+        np.ones((67, 67)),  # not d nonzero entries
+        np.zeros((67, 67)),
+        two_in_column_0,
+        np.outer(np.ones(67), np.eye(67)[1]),  # d nonzeros, none in column 0
+    ]
+    pauli._tables.cache_clear()
+    for g in cheap_failures:
+        assert np.array_equal(gate_power(g, 3), general_power(g, 3))
+    x = np.roll(np.eye(67), 1, axis=0)  # X, built without the library
+    nan_phase = x.copy()
+    nan_phase[2, 1] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        gate_power(nan_phase, 3)
+    assert pauli._tables.cache_info().currsize == 0
+    # one ulp off X passes the cheap checks, so the exact check builds the table
+    ulp = x.copy()
+    ulp[1, 0] = np.nextafter(1.0, 2.0)
+    assert np.array_equal(gate_power(ulp, 3), general_power(ulp, 3))
+    assert pauli._tables.cache_info().currsize == 1
+
+
+def test_importing_builds_no_table():
+    code = "from quditgates import pauli; print(pauli._tables.cache_info().currsize)"
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (basis_state, (4, True), "basis index must be an integer, got True"),
+    (basis_state, (4, False), "basis index must be an integer, got False"),
+    (basis_state, (4, 1.5), "basis index must be an integer, got 1.5"),
+    (basis_state, (4, np.float64(2.0)), "basis index must be an integer, got np.float64(2.0)"),
+    (SubspaceMap(4, -2).to_oam, (1.5,), "logical index must be an integer, got 1.5"),
+    (SubspaceMap(4, -2).to_oam, (True,), "logical index must be an integer, got True"),
+    (SubspaceMap(4, -2).to_logical, (-0.5,), "OAM label must be an integer, got -0.5"),
+    (SubspaceMap(4, -2).to_logical, (False,), "OAM label must be an integer, got False"),
+    (weyl_operator, (1.5, 0, 4), "index must be an integer, got 1.5"),
+    (weyl_operator, (True, 1, 4), "index must be an integer, got True"),
+    (weyl_operator, (0, np.float32(1), 4), "index must be an integer, got np.float32(1.0)"),
+    (q_basis, (1, 1.0, 4), "index must be an integer, got 1.0"),
+])
+def test_indices_must_be_integers(call, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
 
 
 @pytest.mark.parametrize("shape", [(), (4,), (2, 3), (3, 4), (2, 2, 2), (1, 4)])

@@ -22,6 +22,8 @@ from quditgates import (
     weyl_operator,
 )
 
+from oracles import index_decompose, index_reconstruct, index_weyl_operator
+
 np_rng = np.random.default_rng(20240902)
 
 
@@ -312,3 +314,24 @@ def test_weyl_covariance(u, a, b):
     want = omega(d) ** ((b * l - a * m) % d) * decompose(u)
     assert np.abs(decompose(p @ u @ p.conj().T) - want).max() <= 1e-11 * scale(u)
 
+
+
+# --- the index formulas as oracles ------------------------------------------
+
+
+@settings(deadline=None)
+@given(st.integers(2, 64).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(0, d - 1), st.integers(0, d - 1))))
+def test_weyl_operator_matches_the_index_formula(dlm):
+    d, l, m = dlm
+    assert np.array_equal(weyl_operator(l, m, d), index_weyl_operator(l, m, d))
+
+
+@settings(deadline=None)
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1))
+def test_decompose_and_reconstruct_match_the_index_formulas(d, seed):
+    t = sparse_table(d, np.random.default_rng(seed), complex_=True)
+    # a transposed view is not C-contiguous, so it is flattened by a copy
+    for u in (t, t.T):
+        assert np.array_equal(decompose(u), index_decompose(u))
+        assert np.array_equal(reconstruct(u), index_reconstruct(u))
