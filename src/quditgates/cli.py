@@ -80,6 +80,13 @@ def _dense_dim(dim: int):
         _fail(EXIT_NUMERIC, f"--dim {dim}: a {dim}x{dim} matrix does not fit in memory")
 
 
+def _not_nan(ctx, param, value: float) -> float:
+    """Reject NaN, which every comparison of click.FloatRange lets through."""
+    if value != value:
+        raise click.BadParameter(f"{value} is not a number")
+    return value
+
+
 def _require_finite(m: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(m)):
         _fail(EXIT_NUMERIC, f"{what} contains non-finite entries")
@@ -177,9 +184,10 @@ def _heatmap(matrix: np.ndarray, window: pauli.SubspaceMap, as_counts: bool) -> 
 @main.command()
 @click.option("--gate", required=True, type=click.Choice(sorted(SIM_GATES)))
 @click.option(
-    "--visibility", default=1.0, show_default=True, type=click.FloatRange(0.0, 1.0)
+    "--visibility", default=1.0, show_default=True, type=click.FloatRange(0.0, 1.0),
+    callback=_not_nan,
 )
-@click.option("--shots", default=0, show_default=True, type=click.IntRange(min=0))
+@click.option("--shots", default=0, show_default=True, type=click.IntRange(0, 2**63 - 1))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(0, 2**64 - 1))
 @click.option(
     "--format", "fmt", default="text", show_default=True,

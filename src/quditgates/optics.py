@@ -20,19 +20,21 @@ distribution satisfies E[cos] = V, E[sin] = 0.  Because every output
 probability is multilinear in (cos, sin) of each element phase, averaging
 over the 2^k two-point sign patterns (phase = +/- arccos V) equals the
 exact expectation: the model is sampled without Monte Carlo error.
-Detection probabilities are those averages; a single propagation with all
-signs positive is exposed as the deterministic "representative branch".
+Detection probabilities are those averages.
 
-The signs are independent, so the statistics do not enumerate the 2^k
-patterns (that is :func:`propagate_branches`, kept as the oracle).  A
-circuit is compiled once onto the (path, OAM label) keys reachable from
-its inputs, each noisy element becoming one Kraus pair (four operators for
-an ideal recombiner, which has two slots), and a batch of density
-operators goes through it in one pass: every noisy element maps rho to the
-mean of K rho K^dagger over its operators (the operator-sum form), so the
-cost grows linearly with k.  Runs of noise-free elements are folded into
-the next noisy element.  Every element defines its per-key action and its
-topology once (:class:`_Element`) for propagation, compilation and checks.
+Every result comes from one engine.  A circuit is compiled once onto the
+(path, OAM label) keys reachable from its inputs, each noisy element
+becoming one Kraus pair (four operators for an ideal recombiner, which has
+two slots); runs of noise-free elements are folded into the next noisy
+element.  The signs are independent, so the statistics do not enumerate
+the 2^k patterns: a batch of density operators goes through the steps in
+one pass, every noisy element mapping rho to the mean of K rho K^dagger
+over its operators (the operator-sum form), so the cost grows linearly
+with k.  At V=1 each step has a single operator, and their product is the
+ideal window transfer.  :func:`propagate_branches` multiplies out the
+operators of every sign pattern for callers that want the branches
+themselves.  Every element defines its per-key action and its topology
+once (:class:`_Element`) for compilation and checks.
 
 A bounded cache keyed by the frozen circuit keeps its compiled form and
 ideal window transfer.  One pass can carry a batch of visibilities.  Each
@@ -54,6 +56,7 @@ functions are pure.  Monte Carlo counts derive one substream per
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -62,7 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import SubspaceMap, check_dim, require_finite, shift_clock
+from .pauli import SubspaceMap, _check_integer, check_dim, require_finite, shift_clock
 
 #: Amplitude map: (path, OAM label) -> complex amplitude.
 Amplitudes = dict[tuple[str, int], complex]
@@ -294,11 +297,6 @@ class NoiseParams:
         if not 0.0 < self.throughput <= 1.0:
             raise ValueError(f"throughput must lie in (0, 1], got {self.throughput}")
 
-    @cached_property
-    def _factors(self) -> dict[str, complex]:
-        factors = _noise_factors(self.visibility, self.throughput)
-        return {name: complex(x) for name, x in factors.items()}
-
 
 #: Noise-free parameters (lossless recombination included).
 IDEAL = NoiseParams(visibility=1.0, throughput=1.0)
@@ -347,55 +345,6 @@ def _validate_topology(circuit: OpticalCircuit) -> None:
         )
 
 
-def _add(state: Amplitudes, key: tuple[str, int], amp: complex) -> None:
-    if amp == 0:
-        return
-    new = state.get(key, 0j) + amp
-    if new == 0:
-        state.pop(key, None)
-    else:
-        state[key] = new
-
-
-def apply_element(
-    element: OpticalElement,
-    state: Amplitudes,
-    noise: NoiseParams = IDEAL,
-    *,
-    split_sign: int = 1,
-    phase_sign: int = 1,
-) -> Amplitudes:
-    """Apply one element to an amplitude map, returning a new map.
-
-    `split_sign` and `phase_sign` select the +/- branch of the element's
-    internal phase error (see the module docstring); the defaults give the
-    representative branch.  Sorters preserve total probability for every
-    branch, and so does the ideal recombiner (its discard path keeps the
-    rejected amplitude).  The lossy recombiner scales the merged total by
-    exactly `noise.throughput`.
-    """
-    if not isinstance(element, _Element):
-        raise CircuitError(f"unknown element {element!r}")
-    weights = element.weights(noise._factors, split_sign, phase_sign)
-    inputs, routes = element.inputs, element.routes
-    out: Amplitudes = {}
-    for key, amp in state.items():
-        if key[0] not in inputs:
-            _add(out, key, amp)
-            continue
-        for dst, factors in routes(*key):
-            a = amp
-            for name in factors:
-                a = a * weights[name]
-            _add(out, dst, a)
-    return out
-
-
-def total_probability(state: Amplitudes) -> float:
-    """Sum of |amplitude|^2 over the whole map."""
-    return float(sum(abs(a) ** 2 for a in state.values()))
-
-
 def _sign_patterns(slots: list, ideal: bool) -> list[dict]:
     """Every +/- assignment to the noise `slots`, as slot -> sign maps.
 
@@ -407,58 +356,21 @@ def _sign_patterns(slots: list, ideal: bool) -> list[dict]:
     return [dict(zip(slots, p)) for p in itertools.product((1, -1), repeat=len(slots))]
 
 
-def _check_input(circuit: OpticalCircuit, state: Amplitudes) -> None:
-    for path, _ in state:
+def _check_input(circuit: OpticalCircuit, state: Amplitudes) -> tuple[list, np.ndarray]:
+    """The OAM labels and the amplitude vector of an input map.  A key off
+    the input path raises CircuitError; a label that is not an integer and
+    an amplitude that is not finite raise ValueError."""
+    labels = []
+    for (path, ell), amp in state.items():
         if path != circuit.input_path:
             raise CircuitError(
                 f"input amplitudes must live on {circuit.input_path!r}, "
                 f"found path {path!r}"
             )
-
-
-def propagate(
-    circuit: OpticalCircuit,
-    state: Amplitudes,
-    noise: NoiseParams = IDEAL,
-    signs: dict[tuple[int, str], int] | None = None,
-) -> Amplitudes:
-    """Left-fold of :func:`apply_element` over the element sequence.
-
-    The input must be supported on the circuit's input path only.  `signs`
-    selects a noise branch per (element index, slot); missing entries
-    default to +1.  With ideal noise and ideal recombiners the total
-    probability is conserved.
-    """
-    _check_input(circuit, state)
-    signs = signs or {}
-    current = dict(state)
-    for pos, element in enumerate(circuit.elements):
-        current = apply_element(
-            element,
-            current,
-            noise,
-            split_sign=signs.get((pos, "split"), 1),
-            phase_sign=signs.get((pos, "phase"), 1),
-        )
-    return current
-
-
-def propagate_branches(
-    circuit: OpticalCircuit,
-    state: Amplitudes,
-    noise: NoiseParams = IDEAL,
-) -> list[tuple[float, Amplitudes]]:
-    """All (weight, output map) noise branches; weights sum to 1.
-
-    At V=1 there is a single branch.  Otherwise each noise slot takes both
-    signs of its two-point phase distribution; averaging probabilities
-    over these branches is the exact expectation under the model.  This
-    enumeration costs 2^k propagations for k slots; the statistics below
-    use the equivalent density-operator pass, and this stays as its oracle.
-    """
-    slots = [(pos, s) for pos, e in enumerate(circuit.elements) for s in e.noise_slots]
-    patterns = _sign_patterns(slots, noise.visibility == 1.0)
-    return [(1.0 / len(patterns), propagate(circuit, state, noise, s)) for s in patterns]
+        labels.append(_check_integer(ell, "OAM label"))
+        if not cmath.isfinite(amp):
+            raise ValueError(f"input amplitude at {(path, ell)!r} is {amp}, not finite")
+    return labels, np.array(list(state.values()), dtype=complex)
 
 
 def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
@@ -501,7 +413,7 @@ def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
             add_step(e, routes)
             origin = identity = [(i, 1.0) for i in range(len(keys))]
         else:
-            w = e.weights(IDEAL._factors, 1, 1)
+            w = e.weights({}, 1, 1)
             origin = [
                 (src, c * math.prod(map(w.__getitem__, fs))) for src, _, c, fs in routes
             ]
@@ -521,7 +433,21 @@ class _Compiled:
 
     @cached_property
     def transfer(self) -> np.ndarray:
-        transfer = _ideal_transfer(self.circuit)
+        """T[i, j]: amplitude at output window mode i for input window mode
+        j, with ideal noise and ideal (lossless) recombiners: the product of
+        the single V=1 Kraus operators of that circuit's compiled steps."""
+        circuit, window = self.circuit, self.circuit.window.oam_labels
+        elements = tuple(
+            replace(e, mode="ideal") if isinstance(e, Recombiner) else e
+            for e in circuit.elements
+        )
+        # a fresh compile: the variant is needed once, so it stays out of the cache
+        steps, outputs = _compile(replace(circuit, elements=elements), window)
+        amps = _branch_amplitudes(steps, np.eye(len(window)), IDEAL)[0]
+        transfer = np.zeros((circuit.dim, circuit.dim), dtype=complex)
+        for i, ell in enumerate(window):
+            if ell in outputs:
+                transfer[i] = amps[outputs[ell]]
         transfer.flags.writeable = False
         return transfer
 
@@ -536,6 +462,59 @@ def _compiled(circuit: OpticalCircuit) -> _Compiled:
         return _compiled_cached(circuit)
     except TypeError:
         return _Compiled(circuit)
+
+
+def _pattern_weights(e: _Element, names: list, factors: dict, ideal: bool, one=1) -> np.ndarray:
+    """table[f, p]: the product of the weight factors `names[f]` of element
+    `e` on sign pattern p of its noise slots (:func:`_sign_patterns`), for
+    the `factors` of :func:`_noise_factors`; the empty product is `one`."""
+    ws = [
+        e.weights(factors, signs.get("split", 1), signs.get("phase", 1))
+        for signs in _sign_patterns(e.noise_slots, ideal)
+    ]
+    table = [[math.prod(map(w.__getitem__, fs), start=one) for w in ws] for fs in names]
+    return np.array(table, dtype=complex)
+
+
+def _branch_amplitudes(steps: list, psi: np.ndarray, noise: NoiseParams) -> np.ndarray:
+    """out[p] = K_p psi for every sign pattern p of the steps' noise slots,
+    the first slot most significant (a single pattern at V=1): K_p is the
+    product of the steps' Kraus operators on that pattern, and each column
+    of the (n_in, c) `psi` holds the amplitudes of one input."""
+    factors = _noise_factors(noise.visibility, noise.throughput)
+    amps = psi[None]
+    for e, names, basis in steps:
+        table = _pattern_weights(e, names, factors, noise.visibility == 1.0)
+        (f, n_out, n_in), m = basis.shape, table.shape[1]
+        ops = (table.T @ basis.reshape(f, n_out * n_in)).reshape(m, n_out, n_in)
+        amps = (ops[None] @ amps[:, None]).reshape(len(amps) * m, n_out, psi.shape[1])
+    return amps
+
+
+def propagate_branches(
+    circuit: OpticalCircuit,
+    state: Amplitudes,
+    noise: NoiseParams = IDEAL,
+) -> list[tuple[float, Amplitudes]]:
+    """Every noise branch as (weight, output-path amplitudes); weights sum to 1.
+
+    At V=1 there is a single branch.  Otherwise each of the k noise slots
+    takes both signs of its two-point phase distribution, the first slot
+    most significant in the order of the 2^k branches; averaging
+    probabilities over them is the exact expectation under the model.  Each
+    branch is the product of the compiled steps' Kraus operators on that
+    sign pattern applied to `state`, which lives on the input path, and
+    holds the nonzero amplitudes on the output path only.  The statistics
+    take the equivalent density-operator pass instead, at a cost linear in k.
+    """
+    labels, psi = _check_input(circuit, state)
+    steps, outputs = _compile(circuit, labels)
+    amps = _branch_amplitudes(steps, psi[:, None], noise)[..., 0]
+    out = circuit.output_path
+    return [
+        (1.0 / len(amps), {(out, ell): complex(a[i]) for ell, i in outputs.items() if a[i] != 0})
+        for a in amps
+    ]
 
 
 def _mix(steps: list, v, throughput: float, rhos: np.ndarray) -> np.ndarray:
@@ -554,15 +533,9 @@ def _mix(steps: list, v, throughput: float, rhos: np.ndarray) -> np.ndarray:
     one = 1 + 0 * v  # the empty product, shaped like v
     batch, rhos = rhos.shape[1], rhos[None]
     for e, names, basis in steps:
-        ws = [
-            e.weights(factors, signs.get("split", 1), signs.get("phase", 1))
-            for signs in _sign_patterns(e.noise_slots, ideal)
-        ]
-        table = [
-            [math.prod(map(w.__getitem__, fs), start=one) for w in ws] for fs in names
-        ]
-        (f, n_out, n_in), m, r = basis.shape, len(ws), len(rhos)
-        table = np.array(table, dtype=complex).reshape(f, m, -1).T  # [k, pattern, f]
+        table = _pattern_weights(e, names, factors, ideal, one)
+        (f, n_out, n_in), m, r = basis.shape, table.shape[1], len(rhos)
+        table = table.reshape(f, m, -1).T  # [k, pattern, f]
         nv = len(table)
         ops = table.reshape(nv * m, f) @ basis.reshape(f, n_out * n_in)
         rhos = rhos.reshape(r, n_in, batch * n_in)
@@ -582,11 +555,11 @@ def output_mode_probabilities(
     noise: NoiseParams = IDEAL,
 ) -> dict[int, float]:
     """Noise-averaged detection probabilities per OAM label on the output
-    path, from one density-operator pass; equal to the average over the
-    :func:`propagate_branches` outputs."""
-    _check_input(circuit, state)
-    steps, outputs = _compile(circuit, [ell for _, ell in state])
-    psi = np.array(list(state.values()), dtype=complex)
+    path, from one density-operator pass through the compiled steps: the
+    weighted mean of |amplitude|^2 over the :func:`propagate_branches`
+    branches, without enumerating them."""
+    labels, psi = _check_input(circuit, state)
+    steps, outputs = _compile(circuit, labels)
     rho = np.outer(psi, psi.conj())[:, None]
     rho = _mix(steps, noise.visibility, noise.throughput, rho)[0, :, 0]
     return {ell: p for ell, i in outputs.items() if (p := float(rho[i, i].real)) > 0}
@@ -644,9 +617,10 @@ def efficiency(
     """Per-input efficiencies and their mean.
 
     E_i = matrix[i, expected[i]] / sum_j matrix[i, j]; accepts probability
-    or count form.  Every expected column must be an integer in [0, d),
-    every entry finite and non-negative and every row total finite, and a
-    zero row total leaves the efficiency undefined; each raises ValueError.
+    or count form.  Every expected column must be an integer in [0, d) and
+    not a bool, every entry finite and non-negative and every row total
+    finite, and a zero row total leaves the efficiency undefined; each
+    raises ValueError.
     """
     m = np.asarray(matrix, dtype=float)
     expected = list(expected)
@@ -656,7 +630,7 @@ def efficiency(
         )
     d = m.shape[1]
     for i, col in enumerate(expected):
-        if not isinstance(col, (int, np.integer)) or not 0 <= col < d:
+        if isinstance(col, bool) or not isinstance(col, (int, np.integer)) or not 0 <= col < d:
             raise ValueError(f"expected[{i}] = {col!r} is not an integer in [0, {d})")
     totals = _row_totals(m, "efficiency undefined")
     if (totals <= 0).any():
@@ -799,24 +773,6 @@ def trace_modes(kind: str, inputs: tuple[int, ...] = (-2, -1, 0, 1)) -> tuple[in
             ell -= 1  # output-side plate
         out.append(ell)
     return tuple(out)
-
-
-def _ideal_transfer(circuit: OpticalCircuit) -> np.ndarray:
-    """Window transfer matrix T[i, j]: amplitude at output window mode i for
-    input window mode j, with ideal noise and ideal (lossless) recombiners.
-    """
-    elements = tuple(
-        replace(e, mode="ideal") if isinstance(e, Recombiner) else e
-        for e in circuit.elements
-    )
-    ideal_circuit = replace(circuit, elements=elements)
-    window = circuit.window.oam_labels
-    transfer = np.zeros((circuit.dim, circuit.dim), dtype=complex)
-    for j, ell in enumerate(window):
-        final = propagate(ideal_circuit, {(circuit.input_path, ell): 1.0}, IDEAL)
-        for i, out in enumerate(window):
-            transfer[i, j] = final.get((circuit.output_path, out), 0j)
-    return transfer
 
 
 def circuit_unitary_fidelity(circuit: OpticalCircuit, gate: np.ndarray) -> float:
@@ -996,9 +952,10 @@ def monte_carlo_counts(
     Row i draws `shots_per_input` samples from its distribution using the
     substream np.random.default_rng([seed, i]), so identical seeds give
     bit-identical counts and rows are independently reproducible.  The
-    shot count must be an integer >= 1, the seed an integer >= 0, every
-    cell finite and non-negative, and every row total finite and positive;
-    each raises ValueError otherwise.
+    shot count must be an integer in [1, 2**63 - 1] (numpy draws int64
+    counts), the seed an integer >= 0, every cell finite and non-negative,
+    and every row total finite and positive; each raises ValueError
+    otherwise.
     """
     m = np.asarray(matrix, dtype=float, order="C")  # so totals equal each row.sum()
     if m.ndim != 2:
@@ -1006,6 +963,8 @@ def monte_carlo_counts(
     for name, value, least in (("shots_per_input", shots_per_input, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if shots_per_input > 2**63 - 1:
+        raise ValueError(f"shots_per_input must be at most 2**63 - 1, got {shots_per_input}")
     totals = _row_totals(m, "probability matrix")
     counts = np.zeros(m.shape, dtype=np.int64)
     for i, (row, total) in enumerate(zip(m, totals)):

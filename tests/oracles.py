@@ -1,14 +1,27 @@
-"""Reference formulas for the index pattern of X^a Z^b, by integer index
-arithmetic mod d on every call.
+"""Reference implementations the library is checked against, entry for entry.
 
-X^a Z^b holds omega^(b*l mod d) at (l + a mod d, l), so the flattened
-matrix holds its phases on two strided runs: l < d - a from a*d with
-step d + 1, and l >= d - a from d - a.  The library reads the same pattern
-from cached index tables; these formulas are kept to check it entry for
-entry.
+Index formulas for X^a Z^b, by integer index arithmetic mod d on every
+call.  X^a Z^b holds omega^(b*l mod d) at (l + a mod d, l), so the
+flattened matrix holds its phases on two strided runs: l < d - a from a*d
+with step d + 1, and l >= d - a from d - a.  The library reads the same
+pattern from cached index tables.
+
+The per-amplitude optics engine: each element applied to a (path, OAM
+label) -> amplitude map through its `routes` and `weights`, one noise
+branch at a time, every branch of the 2^k sign patterns enumerated, and
+the ideal window transfer propagated one basis mode at a time.  The
+library compiles the circuit into Kraus steps instead and takes every
+result from them; this engine shares only the element definitions and
+the weight factors of the noise model with it.
 """
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
+
+from quditgates import IDEAL, Recombiner
+from quditgates.optics import _noise_factors
 
 
 def index_weyl(a, b, c, d):
@@ -39,3 +52,81 @@ def index_reconstruct(h):
     d = h.shape[0]
     k = np.arange(d)
     return (d * np.fft.ifft(h, axis=1))[(k[:, None] - k) % d, k]
+
+
+def _add(state, key, amp):
+    if amp == 0:
+        return
+    new = state.get(key, 0j) + amp
+    if new == 0:
+        state.pop(key, None)
+    else:
+        state[key] = new
+
+
+def apply_element(element, state, noise=IDEAL, *, split_sign=1, phase_sign=1):
+    """One element on an amplitude map, on the noise branch that the signs
+    select, as a new map.  Keys off the element's input paths pass through;
+    exact zeros are dropped."""
+    factors = _noise_factors(noise.visibility, noise.throughput)
+    factors = {name: complex(x) for name, x in factors.items()}
+    weights = element.weights(factors, split_sign, phase_sign)
+    out = {}
+    for key, amp in state.items():
+        if key[0] not in element.inputs:
+            _add(out, key, amp)
+            continue
+        for dst, names in element.routes(*key):
+            a = amp
+            for name in names:
+                a = a * weights[name]
+            _add(out, dst, a)
+    return out
+
+
+def total_probability(state):
+    """Sum of |amplitude|^2 over the whole map."""
+    return float(sum(abs(a) ** 2 for a in state.values()))
+
+
+def propagate(circuit, state, noise=IDEAL, signs=None):
+    """Left fold of apply_element over the elements; `signs` maps (element
+    index, slot) to the branch sign, +1 where missing."""
+    signs = signs or {}
+    for pos, element in enumerate(circuit.elements):
+        state = apply_element(
+            element,
+            state,
+            noise,
+            split_sign=signs.get((pos, "split"), 1),
+            phase_sign=signs.get((pos, "phase"), 1),
+        )
+    return dict(state)
+
+
+def enumerate_branches(circuit, state, noise=IDEAL):
+    """(weight, whole output map) of every noise branch: one at V = 1, else
+    all 2^k sign patterns with the first slot most significant."""
+    slots = [(pos, s) for pos, e in enumerate(circuit.elements) for s in e.noise_slots]
+    if noise.visibility == 1.0:
+        patterns = [{}]
+    else:
+        patterns = [dict(zip(slots, p)) for p in itertools.product((1, -1), repeat=len(slots))]
+    return [(1.0 / len(patterns), propagate(circuit, state, noise, p)) for p in patterns]
+
+
+def dict_transfer(circuit):
+    """T[i, j]: amplitude at output window mode i for input window mode j,
+    with ideal noise and every recombiner made ideal (lossless)."""
+    elements = tuple(
+        replace(e, mode="ideal") if isinstance(e, Recombiner) else e
+        for e in circuit.elements
+    )
+    ideal_circuit = replace(circuit, elements=elements)
+    window = circuit.window.oam_labels
+    transfer = np.zeros((circuit.dim, circuit.dim), dtype=complex)
+    for j, ell in enumerate(window):
+        final = propagate(ideal_circuit, {(circuit.input_path, ell): 1.0})
+        for i, out in enumerate(window):
+            transfer[i, j] = final.get((circuit.output_path, out), 0j)
+    return transfer

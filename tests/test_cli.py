@@ -225,6 +225,25 @@ def test_sim_visibility_out_of_range_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--visibility", "nan"), ("--visibility", "inf"), ("--shots", str(2**63))],
+)
+def test_sim_non_finite_and_oversized_values_are_usage_errors(runner, option, value):
+    result = runner.invoke(main, ["sim", "--gate", "X", option, value])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_sim_takes_the_largest_shot_count(runner):
+    result = runner.invoke(main, ["sim", "--gate", "X", "--shots", str(2**63 - 1),
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    counts = np.array(json.loads(result.stdout)["counts"])
+    assert np.all(counts.sum(axis=1) == 2**63 - 1)
+
+
 def test_out_file_writing(runner, tmp_path):
     target = tmp_path / "x.json"
     result = runner.invoke(main, ["gates", "--gate", "X", "--format", "json",

@@ -21,7 +21,6 @@ from quditgates import (
     SubspaceMap,
     build_gate_circuit,
     correlation_matrix,
-    propagate,
     random_unitary,
 )
 from quditgates import formats
@@ -39,6 +38,7 @@ from quditgates.formats import (
     matrix_to_json,
 )
 
+import oracles
 from strategies import WINDOW, random_circuits
 
 DATA = Path(__file__).parent / "data"
@@ -129,7 +129,7 @@ def test_reloaded_circuit_propagates_identically():
     circuit = build_gate_circuit("X2", WINDOW)
     reloaded = circuit_from_json(circuit_to_json(circuit))
     state = {("in", -2): 1 / np.sqrt(2), ("in", 1): 1j / np.sqrt(2)}
-    assert propagate(circuit, state, IDEAL) == propagate(reloaded, state, IDEAL)
+    assert oracles.propagate(circuit, state, IDEAL) == oracles.propagate(reloaded, state, IDEAL)
 
 
 def test_circuit_json_errors():

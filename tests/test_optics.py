@@ -19,7 +19,6 @@ from quditgates import (
     Recombiner,
     SpiralPhasePlate,
     SubspaceMap,
-    apply_element,
     build_gate_circuit,
     calibrate_visibility,
     circuit_unitary_fidelity,
@@ -34,12 +33,11 @@ from quditgates import (
     mean_gate_efficiency,
     monte_carlo_counts,
     output_mode_probabilities,
-    propagate,
     propagate_branches,
     superposition_visibility,
-    total_probability,
     trace_modes,
 )
+from oracles import apply_element, dict_transfer, enumerate_branches, total_probability
 from strategies import WINDOW, random_circuits
 
 CAPTION_TUPLES = {
@@ -170,20 +168,47 @@ def test_ideal_recombiner_rejects_mismatched_parity_to_the_discard_path():
 def test_propagate_empty_circuit_is_identity():
     circuit = OpticalCircuit(4, WINDOW, (), input_path="in", output_path="in")
     state = {("in", -1): 0.5 + 0.5j}
-    assert propagate(circuit, state) == state
+    assert propagate_branches(circuit, state) == [(1.0, state)]
 
 
 def test_propagate_requires_input_path_support():
     circuit = build_gate_circuit("X", WINDOW)
-    with pytest.raises(CircuitError, match="input"):
-        propagate(circuit, {("odd", 0): 1.0})
+    for call in (propagate_branches, output_mode_probabilities):
+        with pytest.raises(CircuitError, match="input"):
+            call(circuit, {("odd", 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ({("in", 0): np.nan}, r"input amplitude at \('in', 0\) is nan, not finite"),
+        ({("in", -1): 0.5, ("in", 0): np.inf}, r"at \('in', 0\) is inf, not finite"),
+        ({("in", 1): complex(0, np.nan)}, r"at \('in', 1\) is nanj, not finite"),
+        ({("in", 0.5): 1.0}, "OAM label must be an integer, got 0.5"),
+        ({("in", np.float64(1)): 1.0}, "OAM label must be an integer, got np.float64"),
+        ({("in", True): 1.0}, "OAM label must be an integer, got True"),
+        ({("in", "1"): 1.0}, "OAM label must be an integer, got '1'"),
+    ],
+)
+def test_amplitude_map_inputs_are_checked(state, message):
+    circuit = build_gate_circuit("X", WINDOW)
+    for call in (propagate_branches, output_mode_probabilities):
+        with pytest.raises(ValueError, match=message):
+            call(circuit, state, NoiseParams(0.8, 0.5))
+
+
+def test_integer_labels_of_any_integer_type_are_accepted():
+    circuit = build_gate_circuit("X", WINDOW)
+    state = {("in", np.int64(-2)): 1.0}
+    assert output_mode_probabilities(circuit, state, IDEAL) == {-1: 1.0}
+    assert propagate_branches(circuit, state) == [(1.0, {("out", -1): 1.0 + 0j})]
 
 
 def test_propagate_conserves_probability_when_ideal():
     for kind in ("X", "X2", "Xdagger"):
         circuit = build_gate_circuit(kind, WINDOW)
         state = {("in", ell): 0.5 + 0j for ell in WINDOW.oam_labels}
-        final = propagate(circuit, state, IDEAL)
+        [(_, final)] = propagate_branches(circuit, state, IDEAL)
         assert total_probability(final) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -199,7 +224,7 @@ def test_propagate_branch_weights_and_conservation():
 def test_superposition_propagates_coherently():
     circuit = build_gate_circuit("X", WINDOW)
     amp = 1 / np.sqrt(2)
-    final = propagate(circuit, {("in", 0): amp, ("in", 1): amp}, IDEAL)
+    [(_, final)] = propagate_branches(circuit, {("in", 0): amp, ("in", 1): amp}, IDEAL)
     # output (|1> + |-2>)/sqrt(2) up to a global phase
     a, b = final[("out", 1)], final[("out", -2)]
     assert abs(a) == pytest.approx(amp, abs=1e-12)
@@ -259,7 +284,11 @@ def test_efficiency_examples():
 
 
 @pytest.mark.parametrize(
-    "expected", [[-4, -3, -2, -1], [4, 2, 3, 0], [1.0, 2, 3, 0], [0, 1, 2, "3"]]
+    "expected",
+    [
+        [-4, -3, -2, -1], [4, 2, 3, 0], [1.0, 2, 3, 0], [0, 1, 2, "3"],
+        [True, 1, 2, 3], [3, 2, 1, False],
+    ],
 )
 def test_efficiency_rejects_columns_outside_the_matrix(expected):
     with pytest.raises(ValueError, match=r"expected\[[03]\] = .* not an integer in \[0, 4\)"):
@@ -487,9 +516,9 @@ def test_monte_carlo_validates_shots():
 
 
 def enumerated_probabilities(circuit, state, noise):
-    """Output-path probabilities averaged over propagate_branches."""
+    """Output-path probabilities averaged over the oracle's branches."""
     probs = {}
-    for weight, final in propagate_branches(circuit, state, noise):
+    for weight, final in enumerate_branches(circuit, state, noise):
         for (path, ell), amp in final.items():
             if path == circuit.output_path:
                 probs[ell] = probs.get(ell, 0.0) + weight * abs(amp) ** 2
@@ -595,6 +624,36 @@ def test_wide_window_correlation_matches_branch_enumeration(d):
         assert np.allclose(matrix[i], row / row.sum(), rtol=0, atol=1e-12)
 
 
+@settings(deadline=None)
+@given(random_circuits(), window_states(), st.floats(0, 1), st.floats(0.01, 1))
+def test_branches_match_the_oracle_enumeration(circuit, state, v, throughput):
+    noise = NoiseParams(v, throughput)
+    want = enumerate_branches(circuit, state, noise)
+    got = propagate_branches(circuit, state, noise)
+    assert len(got) == len(want) == len(propagate_branches(circuit, {}, noise))
+    for (w_got, amps), (w_want, final) in zip(got, want):
+        assert w_got == w_want
+        assert all(path == circuit.output_path and a != 0 for (path, _), a in amps.items())
+        for key in set(amps) | {k for k in final if k[0] == circuit.output_path}:
+            assert abs(amps.get(key, 0) - final.get(key, 0)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(random_circuits())
+def test_transfer_matches_the_oracle_transfer(circuit):
+    got = optics._Compiled(circuit).transfer
+    assert np.all(np.abs(got - dict_transfer(circuit)) <= 1e-15)
+
+
+@pytest.mark.parametrize("offset", [-7, -2, 0, 5])
+@pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
+def test_gate_transfers_equal_the_oracle_transfer_exactly(kind, offset):
+    circuit = build_gate_circuit(kind, SubspaceMap(4, offset))
+    transfer = optics._compiled(circuit).transfer
+    assert np.array_equal(transfer, dict_transfer(circuit))
+    assert circuit_unitary_fidelity(circuit, ideal_gate_matrix(kind)) == 1.0
+
+
 @pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
 def test_superposition_visibility_limits_for_every_gate(kind):
     circuit = build_gate_circuit(kind, WINDOW)
@@ -629,11 +688,6 @@ def test_superposition_visibility_rejects_pairs_off_the_window():
     )
     with pytest.raises(CircuitError, match="logical mode 3"):
         superposition_visibility(circuit)
-
-
-def test_apply_element_rejects_unknown_elements():
-    with pytest.raises(CircuitError, match="unknown element"):
-        apply_element("mirror", {("in", 0): 1.0})
 
 
 # --- batched visibilities ----------------------------------------------------
@@ -844,7 +898,15 @@ def test_each_distinct_circuit_compiles_once(monkeypatch):
             correlation_matrix(circuit, noise)
             superposition_visibility(circuit, noise)
             circuit_unitary_fidelity(circuit, ideal_gate_matrix(kind))
-    assert compiled == [build_gate_circuit(kind, WINDOW) for kind, _ in PAPER_TARGETS]
+    # each circuit, then the ideal-recombiner variant its transfer comes from
+    want = []
+    for kind, _ in PAPER_TARGETS:
+        circuit = build_gate_circuit(kind, WINDOW)
+        ideal = tuple(
+            replace(e, mode="ideal") if isinstance(e, Recombiner) else e for e in circuit.elements
+        )
+        want += [circuit, replace(circuit, elements=ideal)]
+    assert compiled == want
 
 
 def test_callers_cannot_change_a_cached_result():
@@ -902,6 +964,8 @@ def test_circuit_unitary_fidelity_rejects_non_finite_gates(cell):
         (10, -1, "seed must be an integer >= 0, got -1"),
         (10, 1.5, "seed must be an integer >= 0, got 1.5"),
         (10, False, "seed must be an integer >= 0, got False"),
+        (2**63, 1, re.escape(f"shots_per_input must be at most 2**63 - 1, got {2**63}")),
+        (np.uint64(2**63), 1, "shots_per_input must be at most 2"),
     ],
 )
 def test_monte_carlo_rejects_bad_shots_and_seeds(shots, seed, match):
