@@ -211,15 +211,15 @@ def sim(
     per_input, mean = optics.efficiency(table, optics.expected_permutation(kind))
     sup = optics.superposition_visibility(circuit, noise) if kind == "X" else None
     labels = window.oam_labels
+    report = [
+        "efficiency per input: "
+        + "  ".join(f"{l}: {e:.4f}" for l, e in zip(labels, per_input)),
+        f"mean efficiency: {mean:.4f}",
+    ]
+    if sup is not None:
+        report.append(f"superposition statistic: {sup:.4f}")
 
     if fmt == "csv":
-        report = [
-            "efficiency per input: "
-            + "  ".join(f"{l}: {e:.4f}" for l, e in zip(labels, per_input)),
-            f"mean efficiency: {mean:.4f}",
-        ]
-        if sup is not None:
-            report.append(f"superposition statistic: {sup:.4f}")
         click.echo("\n".join(report), err=True)
         _emit(formats.count_matrix_to_csv(table, window), out)
         return
@@ -248,12 +248,8 @@ def sim(
         "",
         _heatmap(table, window, as_counts=counts is not None).rstrip("\n"),
         "",
-        "efficiency per input: "
-        + "  ".join(f"{l}: {e:.4f}" for l, e in zip(labels, per_input)),
-        f"mean efficiency: {mean:.4f}",
+        *report,
     ]
-    if sup is not None:
-        lines.append(f"superposition statistic: {sup:.4f}")
     _emit("\n".join(lines) + "\n", out)
 
 

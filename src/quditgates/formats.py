@@ -66,67 +66,56 @@ def _real_table(data: dict, field: str, d: int, context: str) -> list[list[float
     return table
 
 
-def _complex_table(re: list[list[float]], im: list[list[float]]) -> np.ndarray:
-    """re + i im, built part by part so that signed zeros survive."""
-    table = np.empty((len(re), len(re)), dtype=complex)
+def _table_to_json(table: np.ndarray, keys: tuple[str, str], what: str) -> str:
+    """Serialize a square complex `table` as its dim and the real and
+    imaginary parts under `keys`."""
+    m = np.asarray(table, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    re, im = keys
+    return _dumps(
+        {
+            "dim": int(m.shape[0]),
+            re: [[float(x) for x in row] for row in m.real],
+            im: [[float(x) for x in row] for row in m.imag],
+        }
+    )
+
+
+def _table_from_json(text: str, keys: tuple[str, str], context: str) -> np.ndarray:
+    """Parse what :func:`_table_to_json` writes; the real and imaginary
+    parts are set part by part so that signed zeros survive."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{context}: invalid JSON ({exc})") from exc
+    d = _require(data, "dim", int, context)
+    if d < 1:
+        raise SchemaError(f"{context}: field 'dim' must be positive")
+    re, im = (_real_table(data, key, d, context) for key in keys)
+    table = np.empty((d, d), dtype=complex)
     table.real, table.imag = re, im
     return table
 
 
 def matrix_to_json(matrix: np.ndarray) -> str:
     """Serialize a complex matrix to the shared matrix schema."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    return _dumps(
-        {
-            "dim": int(m.shape[0]),
-            "re": [[float(x) for x in row] for row in m.real],
-            "im": [[float(x) for x in row] for row in m.imag],
-        }
-    )
+    return _table_to_json(matrix, ("re", "im"), "matrix")
 
 
 def matrix_from_json(text: str) -> np.ndarray:
     """Parse the shared matrix schema into a complex array."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"matrix file: invalid JSON ({exc})") from exc
-    d = _require(data, "dim", int, "matrix file")
-    if d < 1:
-        raise SchemaError("matrix file: field 'dim' must be positive")
-    re = _real_table(data, "re", d, "matrix file")
-    im = _real_table(data, "im", d, "matrix file")
-    return _complex_table(re, im)
+    return _table_from_json(text, ("re", "im"), "matrix file")
 
 
 def coefficients_to_json(h: np.ndarray) -> str:
     """Serialize a complex coefficient table, (l, m) as (row, col)."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"coefficient table must be square, got shape {h.shape}")
-    return _dumps(
-        {
-            "dim": int(h.shape[0]),
-            "h_re": [[float(x) for x in row] for row in h.real],
-            "h_im": [[float(x) for x in row] for row in h.imag],
-        }
-    )
+    return _table_to_json(h, ("h_re", "h_im"), "coefficient table")
 
 
 def coefficients_from_json(text: str) -> np.ndarray:
     """Parse a coefficient table from the shared coefficient schema."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"coefficient file: invalid JSON ({exc})") from exc
-    d = _require(data, "dim", int, "coefficient file")
-    if d < 1:
-        raise SchemaError("coefficient file: field 'dim' must be positive")
-    re = _real_table(data, "h_re", d, "coefficient file")
-    im = _real_table(data, "h_im", d, "coefficient file")
-    return _complex_table(re, im)
+    return _table_from_json(text, ("h_re", "h_im"), "coefficient file")
 
 
 #: The "type" tag of each element class in circuit JSON.

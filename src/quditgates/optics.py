@@ -37,10 +37,10 @@ themselves.  Every element defines its per-key action and its topology
 once (:class:`_Element`) for compilation and checks.
 
 A bounded cache keyed by the frozen circuit keeps its compiled form and
-ideal window transfer.  One pass can carry a batch of visibilities.  Each
-noise slot's averaged map is affine in V, so window probabilities are
-polynomials in V of degree <= k: calibration fits them from one pass at
-k + 1 visibilities and solves E(V) = target on that closed form.
+ideal window transfer.  Each noise slot's averaged map is affine in V, so
+window probabilities are polynomials in V of degree <= k: calibration fits
+them from one pass at each of k + 1 visibilities and solves E(V) = target
+on that closed form.
 
 Recombiners come in two flavours: "ideal" routes by parity match like a
 reversed sorter (losslessly at V=1), while "lossy_pbs" merges both arms
@@ -81,6 +81,8 @@ GATE_KINDS = tuple(_SHIFTS)
 _CACHE_SIZE = 64
 #: Visibilities of the calibration grid: V = 0, 0.1, ..., 1.
 _GRID = np.arange(11) / 10
+#: Types a noise parameter may have (bool aside).
+_REALS = (int, float, np.integer, np.floating)
 
 
 class CircuitError(ValueError):
@@ -91,11 +93,10 @@ class CalibrationError(RuntimeError):
     """Raised when visibility calibration cannot reach the requested target."""
 
 
-def _noise_factors(v, throughput: float) -> dict:
-    """Weight factors of the all-plus noise branch at visibility `v`, a
-    number or an array: correct port, wrong port, odd-arm phase
-    e^{i arccos v} and recombiner loss.  A minus split sign negates "leak",
-    a minus phase sign conjugates "arm"."""
+def _noise_factors(v: float, throughput: float) -> dict:
+    """Weight factors of the all-plus noise branch at visibility `v`: correct
+    port, wrong port, odd-arm phase e^{i arccos v} and recombiner loss.  A
+    minus split sign negates "leak", a minus phase sign conjugates "arm"."""
     return {
         "keep": np.sqrt((1 + v) / 2),
         "leak": 1j * np.sqrt((1 - v) / 2),
@@ -292,6 +293,9 @@ class NoiseParams:
     throughput: float = 0.5
 
     def __post_init__(self) -> None:
+        for name, value in (("visibility", self.visibility), ("throughput", self.throughput)):
+            if isinstance(value, bool) or not isinstance(value, _REALS):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
         if not 0.0 < self.throughput <= 1.0:
@@ -343,17 +347,6 @@ def _validate_topology(circuit: OpticalCircuit) -> None:
         raise CircuitError(
             f"output path {circuit.output_path!r} is not live after the last element"
         )
-
-
-def _sign_patterns(slots: list, ideal: bool) -> list[dict]:
-    """Every +/- assignment to the noise `slots`, as slot -> sign maps.
-
-    At V=1 (`ideal`) every assignment gives the same result, so only the
-    all-plus one (the empty map, as missing signs default to +1) is returned.
-    """
-    if ideal:
-        return [{}]
-    return [dict(zip(slots, p)) for p in itertools.product((1, -1), repeat=len(slots))]
 
 
 def _check_input(circuit: OpticalCircuit, state: Amplitudes) -> tuple[list, np.ndarray]:
@@ -464,30 +457,31 @@ def _compiled(circuit: OpticalCircuit) -> _Compiled:
         return _Compiled(circuit)
 
 
-def _pattern_weights(e: _Element, names: list, factors: dict, ideal: bool, one=1) -> np.ndarray:
-    """table[f, p]: the product of the weight factors `names[f]` of element
-    `e` on sign pattern p of its noise slots (:func:`_sign_patterns`), for
-    the `factors` of :func:`_noise_factors`; the empty product is `one`."""
-    ws = [
-        e.weights(factors, signs.get("split", 1), signs.get("phase", 1))
-        for signs in _sign_patterns(e.noise_slots, ideal)
-    ]
-    table = [[math.prod(map(w.__getitem__, fs), start=one) for w in ws] for fs in names]
-    return np.array(table, dtype=complex)
+def _kraus(step: tuple, factors: dict, ideal: bool) -> np.ndarray:
+    """ops[p]: the (n_out, n_in) Kraus operator of a compiled `step` on sign
+    pattern p of its element's noise slots, the first slot most significant,
+    for the `factors` of :func:`_noise_factors`.  At V=1 (`ideal`) every
+    pattern gives the same operator, so only the all-plus one is taken (the
+    empty map, as missing signs default to +1)."""
+    e, names, basis = step
+    patterns = itertools.product((1, -1), repeat=len(e.noise_slots))
+    signs = [{}] if ideal else [dict(zip(e.noise_slots, p)) for p in patterns]
+    ws = [e.weights(factors, s.get("split", 1), s.get("phase", 1)) for s in signs]
+    table = np.array([[math.prod(w[n] for n in fs) for w in ws] for fs in names], complex)
+    f, n_out, n_in = basis.shape
+    return (table.T @ basis.reshape(f, n_out * n_in)).reshape(len(ws), n_out, n_in)
 
 
 def _branch_amplitudes(steps: list, psi: np.ndarray, noise: NoiseParams) -> np.ndarray:
     """out[p] = K_p psi for every sign pattern p of the steps' noise slots,
-    the first slot most significant (a single pattern at V=1): K_p is the
-    product of the steps' Kraus operators on that pattern, and each column
-    of the (n_in, c) `psi` holds the amplitudes of one input."""
+    in :func:`_kraus` order: K_p is the product of the steps' Kraus
+    operators on that pattern, and each column of the (n_in, c) `psi` holds
+    the amplitudes of one input."""
     factors = _noise_factors(noise.visibility, noise.throughput)
     amps = psi[None]
-    for e, names, basis in steps:
-        table = _pattern_weights(e, names, factors, noise.visibility == 1.0)
-        (f, n_out, n_in), m = basis.shape, table.shape[1]
-        ops = (table.T @ basis.reshape(f, n_out * n_in)).reshape(m, n_out, n_in)
-        amps = (ops[None] @ amps[:, None]).reshape(len(amps) * m, n_out, psi.shape[1])
+    for step in steps:
+        ops = _kraus(step, factors, noise.visibility == 1.0)
+        amps = (ops[None] @ amps[:, None]).reshape(len(amps) * len(ops), -1, psi.shape[1])
     return amps
 
 
@@ -517,35 +511,22 @@ def propagate_branches(
     ]
 
 
-def _mix(steps: list, v, throughput: float, rhos: np.ndarray) -> np.ndarray:
-    """Propagate a batch of density operators, `rhos[a, b, c]` = entry
-    (a, c) of operator b, at visibility `v` or at each visibility of a 1-D
-    array `v`: `out[k, a, b, c]` is the batch at visibility k.
-
-    Each step maps every operator to the mean of K rho K^dagger over the
-    step's Kraus operators K, one per sign pattern of the element's noise
-    slots.  Two matrix products per step, stacked over the visibilities,
-    cover the whole batch and all K (the first is a single product while
-    the visibilities share the batch).
-    """
-    factors = _noise_factors(v, throughput)
-    ideal = not isinstance(v, np.ndarray) and v == 1.0  # a batch takes every pattern
-    one = 1 + 0 * v  # the empty product, shaped like v
-    batch, rhos = rhos.shape[1], rhos[None]
-    for e, names, basis in steps:
-        table = _pattern_weights(e, names, factors, ideal, one)
-        (f, n_out, n_in), m, r = basis.shape, table.shape[1], len(rhos)
-        table = table.reshape(f, m, -1).T  # [k, pattern, f]
-        nv = len(table)
-        ops = table.reshape(nv * m, f) @ basis.reshape(f, n_out * n_in)
-        rhos = rhos.reshape(r, n_in, batch * n_in)
-        left = ops.reshape(r, nv // r * m * n_out, n_in) @ rhos
-        left = left.reshape(nv, m, n_out * batch, n_in).transpose(0, 2, 1, 3)
-        ops_h = ops.reshape(nv, m, n_out, n_in).conj().transpose(0, 1, 3, 2)
-        ops_h = ops_h.reshape(nv, m * n_in, n_out)
-        ops_h /= m
-        rhos = left.reshape(nv, n_out * batch, m * n_in) @ ops_h
-        rhos = rhos.reshape(nv, n_out, batch, n_out)
+def _mix(steps: list, psi: np.ndarray, noise: NoiseParams) -> np.ndarray:
+    """The noise-averaged output density operators of the pure inputs held
+    in the columns of the (n_in, batch) `psi`: `rhos[a, b, c]` is entry
+    (a, c) of input b's operator.  Each step maps every operator to the mean of
+    K rho K^dagger over the step's Kraus operators K (:func:`_kraus`); two
+    matrix products per step cover the whole batch and all K."""
+    factors = _noise_factors(noise.visibility, noise.throughput)
+    batch = psi.shape[1]
+    rhos = psi[:, :, None] * psi.conj().T
+    for step in steps:
+        ops = _kraus(step, factors, noise.visibility == 1.0)
+        m, n_out, n_in = ops.shape
+        left = ops.reshape(m * n_out, n_in) @ rhos.reshape(n_in, batch * n_in)
+        left = left.reshape(m, n_out * batch, n_in).transpose(1, 0, 2)
+        ops_h = ops.conj().transpose(0, 2, 1).reshape(m * n_in, n_out) / m
+        rhos = (left.reshape(n_out * batch, m * n_in) @ ops_h).reshape(n_out, batch, n_out)
     return rhos
 
 
@@ -560,33 +541,29 @@ def output_mode_probabilities(
     branches, without enumerating them."""
     labels, psi = _check_input(circuit, state)
     steps, outputs = _compile(circuit, labels)
-    rho = np.outer(psi, psi.conj())[:, None]
-    rho = _mix(steps, noise.visibility, noise.throughput, rho)[0, :, 0]
+    rho = _mix(steps, psi[:, None], noise)[:, 0]
     return {ell: p for ell, i in outputs.items() if (p := float(rho[i, i].real)) > 0}
 
 
-def _window_probs(steps: list, outputs: dict, window, v, throughput: float) -> np.ndarray:
-    """Detection probabilities P[k, i, j] at window mode j for input window
-    mode i at visibility k of `v` (see :func:`_mix`), of the steps compiled
-    for every mode of `window`, from one batch holding one density operator
-    per input; not normalized."""
+def _window_probs(steps: list, outputs: dict, window, noise: NoiseParams) -> np.ndarray:
+    """Detection probabilities P[i, j] at window mode j for input window
+    mode i, of the steps compiled for every mode of `window`, from one
+    :func:`_mix` batch holding every input; not normalized."""
     d = len(window)
-    rhos = np.zeros(d**3, dtype=complex)
-    rhos[:: d * d + d + 1] = 1.0  # operator i is |i><i|
-    rhos = _mix(steps, v, throughput, rhos.reshape(d, d, d))
-    probs = np.zeros((len(rhos), d, d))
+    rhos = _mix(steps, np.eye(d), noise)
+    probs = np.zeros((d, d))
     for j, ell in enumerate(window):
         if ell in outputs:
-            probs[:, :, j] = rhos[:, outputs[ell], :, outputs[ell]].real
+            probs[:, j] = rhos[outputs[ell], :, outputs[ell]].real
     return probs
 
 
-def _correlation(steps: list, outputs: dict, window, v, throughput: float) -> np.ndarray:
+def _correlation(steps: list, outputs: dict, window, noise: NoiseParams) -> np.ndarray:
     """:func:`_window_probs` normalized per row (see :func:`correlation_matrix`)."""
-    probs = _window_probs(steps, outputs, window, v, throughput)
-    totals = probs.sum(axis=2, keepdims=True)
+    probs = _window_probs(steps, outputs, window, noise)
+    totals = probs.sum(axis=1, keepdims=True)
     if (totals <= 0).any():
-        bad = int(np.nonzero(totals <= 0)[1][0])
+        bad = int(np.nonzero(totals <= 0)[0][0])
         raise CircuitError(f"no amplitude reaches the window for input {bad}")
     return probs / totals
 
@@ -606,8 +583,7 @@ def correlation_matrix(
     """
     noise = NoiseParams() if noise is None else noise
     c = _compiled(circuit)
-    window = circuit.window.oam_labels
-    return _correlation(c.steps, c.outputs, window, noise.visibility, noise.throughput)[0]
+    return _correlation(c.steps, c.outputs, circuit.window.oam_labels, noise)
 
 
 def efficiency(
@@ -674,8 +650,9 @@ def _shift(kind: str) -> int:
 
 
 def expected_permutation(kind: str, d: int = 4) -> list[int]:
-    """Target output column for each input row under a given gate kind."""
+    """Target output column for each input row under gate `kind` in dimension `d`."""
     shift = _shift(kind)
+    check_dim(d)
     return [(i + shift) % d for i in range(d)]
 
 
@@ -820,9 +797,9 @@ def superposition_visibility(
             )
     phase = transfer[outs[1], ins[1]] / transfer[outs[0], ins[0]]
     # the steps take every window mode; both inputs live on the last two
-    psi = np.zeros((2, w.dim), dtype=complex)
-    psi[:, ins] = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    rho = _mix(c.steps, noise.visibility, noise.throughput, psi.T[:, :, None] * psi)[0]
+    psi = np.zeros((w.dim, 2), dtype=complex)
+    psi[ins] = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    rho = _mix(c.steps, psi, noise)
     a, b = (c.outputs[w.to_oam(i)] for i in outs)
     # <e|rho|e> / (rho_aa + rho_bb) is 1/2 + s cross for the expected outcome
     # |e> = (|a'> + s e^{i phi} |b'>)/sqrt(2) of input sign s = +1, -1
@@ -855,15 +832,16 @@ def _efficiency_curve(kind: str, throughput: float):
 
     Per input row i, the expected column's probability N_i and the row
     total D_i are polynomials in V of degree at most k, the number of noise
-    slots, so one pass at k + 1 Chebyshev points on [0, 1] fits them
-    exactly; E(V) is the mean of N_i(V) / D_i(V).  The points include V = 0
-    and V = 1, whose grid values are the pass's own.
+    slots, so one pass at each of k + 1 Chebyshev points on [0, 1] fits
+    them exactly; E(V) is the mean of N_i(V) / D_i(V).  The points include
+    V = 0 and V = 1, whose grid values are their passes' own.
     """
     circuit = build_gate_circuit(kind, SubspaceMap(4, -2))
-    c = _compiled(circuit)
+    c, window = _compiled(circuit), circuit.window.oam_labels
     k = sum(len(e.noise_slots) for e, _, _ in c.steps)
     nodes = (1 - np.cos(np.arange(k + 1) * math.pi / k)) / 2
-    probs = _window_probs(c.steps, c.outputs, circuit.window.oam_labels, nodes, throughput)
+    noises = [NoiseParams(v, throughput) for v in nodes]
+    probs = np.stack([_window_probs(c.steps, c.outputs, window, n) for n in noises])
     perm = expected_permutation(kind)
     rows = np.stack([probs[:, range(len(perm)), perm], probs.sum(axis=2)])
     coeffs = np.linalg.solve(_chebyshev(nodes, k), rows)  # [N or D, T_n, input]

@@ -212,6 +212,17 @@ def test_sim_csv_output(runner):
     assert "mean efficiency" in result.stderr
 
 
+@pytest.mark.parametrize("gate", ["X", "X2"])
+def test_sim_text_and_csv_carry_the_same_report(runner, gate):
+    args = ["sim", "--gate", gate, "--visibility", "0.873"]
+    text = runner.invoke(main, args).stdout.splitlines()
+    csv = runner.invoke(main, [*args, "--format", "csv"]).stderr.splitlines()
+    assert text[-len(csv) :] == csv
+    # only the cyclic shift reports the superposition statistic
+    names = ["efficiency per input", "mean efficiency", "superposition statistic"]
+    assert [line.split(":")[0] for line in csv] == names[: 3 if gate == "X" else 2]
+
+
 def test_sim_text_heatmap_uses_oam_labels(runner):
     result = runner.invoke(main, ["sim", "--gate", "Xdg"])
     assert result.exit_code == 0

@@ -483,6 +483,38 @@ def test_noise_params_validation():
         NoiseParams(0.5, 0.0)
 
 
+@pytest.mark.parametrize("field", ["visibility", "throughput"])
+@pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", 0.5 + 0j, np.complex128(0.5), None])
+def test_noise_params_reject_values_that_are_not_real_numbers(field, value):
+    message = f"{field} must be a real number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NoiseParams(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "visibility,throughput",
+    [(np.float64(0.87), np.float64(0.5)), (np.float32(0.5), 1), (0, np.int64(1)), (1, 0.5)],
+)
+def test_noise_params_accept_integer_and_numpy_reals(visibility, throughput):
+    noise = NoiseParams(visibility, throughput)
+    assert (noise.visibility, noise.throughput) == (visibility, throughput)
+
+
+def test_calibration_rejects_a_bool_throughput():
+    with pytest.raises(ValueError, match="^throughput must be a real number, got True$"):
+        calibrate_visibility("X", 0.9, throughput=True)
+
+
+@pytest.mark.parametrize("d", [0, 1, -4, True, 4.0, "4", None])
+def test_expected_permutation_checks_the_dimension_like_the_gate(d):
+    with pytest.raises(ValueError) as got:
+        expected_permutation("X", d)
+    with pytest.raises(ValueError) as want:
+        ideal_gate_matrix("X", d)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("dimension must be an integer >= 2, got ")
+
+
 def test_monte_carlo_degenerate_row():
     probs = np.array([[1.0, 0.0, 0.0, 0.0]] * 4)
     counts = monte_carlo_counts(probs, 500, seed=3)
@@ -665,21 +697,53 @@ def test_superposition_visibility_limits_for_every_gate(kind):
     )
 
 
+# logical modes 2, 3 (OAM 0, 1) leave on OAM 0 and -1, the odd one carrying
+# an extra phase of 0.7 rad
+PHASE_CIRCUIT = OpticalCircuit(
+    4,
+    WINDOW,
+    (ParitySorter(("in",), "even", "odd"), PhaseShift("odd", 0.7), Recombiner("even", "odd", "out")),
+)
+
+
 def test_superposition_visibility_uses_the_ideal_relative_phase():
-    # logical modes 2, 3 (OAM 0, 1) leave on OAM 0 and -1, the odd one
-    # carrying an extra phase of 0.7 rad
-    circuit = OpticalCircuit(
-        4,
-        WINDOW,
-        (
-            ParitySorter(("in",), "even", "odd"),
-            PhaseShift("odd", 0.7),
-            Recombiner("even", "odd", "out"),
-        ),
-    )
-    assert superposition_visibility(circuit, NoiseParams(1.0, 0.5)) == pytest.approx(
+    assert superposition_visibility(PHASE_CIRCUIT, NoiseParams(1.0, 0.5)) == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+def oracle_superposition_visibility(circuit, noise):
+    """superposition_visibility from the enumerated branches and the dict
+    transfer: the expected projection's branch mean over the mean of the
+    two projections' total, averaged over both input signs."""
+    transfer, w = dict_transfer(circuit), circuit.window
+    ins = [w.dim - 2, w.dim - 1]
+    outs = [int(np.argmax(np.abs(transfer[:, j]))) for j in ins]
+    phase = transfer[outs[1], ins[1]] / transfer[outs[0], ins[0]]
+    a, b = ((circuit.output_path, w.to_oam(i)) for i in outs)
+    values = []
+    for s in (1, -1):
+        state = {("in", w.to_oam(ins[0])): 2**-0.5, ("in", w.to_oam(ins[1])): s * 2**-0.5}
+        expected = total = 0.0
+        for weight, out in enumerate_branches(circuit, state, noise):
+            alpha, beta = out.get(a, 0j), out.get(b, 0j)
+            expected += weight * abs(alpha + s * np.conj(phase) * beta) ** 2 / 2
+            total += weight * (abs(alpha) ** 2 + abs(beta) ** 2)
+        values.append(expected / total)
+    return sum(values) / 2
+
+
+@pytest.mark.parametrize("throughput", [0.05, 0.5])
+@pytest.mark.parametrize("v", [0.3, 0.87])
+@pytest.mark.parametrize(
+    "circuit",
+    [build_gate_circuit(kind, WINDOW) for kind in ("X", "X2", "Xdagger")] + [PHASE_CIRCUIT],
+    ids=["X", "X2", "Xdagger", "phase"],
+)
+def test_superposition_visibility_matches_the_branch_oracle(circuit, v, throughput):
+    noise = NoiseParams(v, throughput)
+    want = oracle_superposition_visibility(circuit, noise)
+    assert abs(superposition_visibility(circuit, noise) - want) <= 1e-12
 
 
 def test_superposition_visibility_rejects_pairs_off_the_window():
@@ -690,7 +754,7 @@ def test_superposition_visibility_rejects_pairs_off_the_window():
         superposition_visibility(circuit)
 
 
-# --- batched visibilities ----------------------------------------------------
+# --- calibration on the closed form ------------------------------------------
 
 
 def sequential_calibration(kind, target, *, throughput=0.5, tol=1e-4):
@@ -827,39 +891,6 @@ def test_calibration_sweep_matches_sequential_bisection(kind, target, throughput
     check_against_bisection(kind, target, throughput=throughput, tol=tol)
 
 
-def batch_correlation(circuit, visibilities, throughput):
-    window = circuit.window.oam_labels
-    steps, outputs = optics._compile(circuit, window)
-    return optics._correlation(steps, outputs, window, np.array(visibilities), throughput)
-
-
-@pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
-def test_visibility_batch_matches_one_visibility_at_a_time(kind):
-    circuit, vs = build_gate_circuit(kind, WINDOW), [0.0, 0.3, 0.87, 1.0]
-    batch = batch_correlation(circuit, vs, 0.5)
-    for v, matrix in zip(vs, batch):
-        want = correlation_matrix(circuit, NoiseParams(v, 0.5))
-        assert np.allclose(matrix, want, rtol=0, atol=1e-12)
-    permutation = np.eye(4)[expected_permutation(kind)]
-    assert np.array_equal(batch[-1], permutation)
-
-
-@settings(deadline=None)
-@given(random_circuits(), st.lists(st.floats(0, 1), min_size=1, max_size=5), st.floats(0.01, 1))
-def test_visibility_batch_matches_on_random_circuits(circuit, vs, throughput):
-    singles = []
-    for v in vs:
-        try:
-            singles.append(correlation_matrix(circuit, NoiseParams(v, throughput)))
-        except CircuitError:
-            with pytest.raises(CircuitError):
-                batch_correlation(circuit, vs, throughput)
-            return
-    batch = batch_correlation(circuit, vs, throughput)
-    assert batch.shape == (len(vs), 4, 4)
-    assert np.allclose(batch, singles, rtol=0, atol=1e-12)
-
-
 # --- compiled-form cache -----------------------------------------------------
 
 
@@ -869,8 +900,8 @@ def test_cached_correlation_equals_a_fresh_compile(circuit, v, throughput):
     window = circuit.window.oam_labels
     try:
         want = optics._correlation(
-            *optics._compile(circuit, window), window, v, throughput
-        )[0]
+            *optics._compile(circuit, window), window, NoiseParams(v, throughput)
+        )
     except CircuitError:
         with pytest.raises(CircuitError):
             correlation_matrix(circuit, NoiseParams(v, throughput))
