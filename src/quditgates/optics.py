@@ -36,11 +36,12 @@ operators of every sign pattern for callers that want the branches
 themselves.  Every element defines its per-key action and its topology
 once (:class:`_Element`) for compilation and checks.
 
-A bounded cache keyed by the frozen circuit keeps its compiled form and
-ideal window transfer.  Each noise slot's averaged map is affine in V, so
-window probabilities are polynomials in V of degree <= k: calibration fits
-them from one pass at each of k + 1 visibilities and solves E(V) = target
-on that closed form.
+Bounded caches keep each circuit's compiled form and ideal window
+transfer, and per throughput its window probabilities in closed form:
+each noise slot's averaged map is affine in V, so they are polynomials in
+V of degree <= k, fitted from one pass at each of k + 1 visibilities.  A
+correlation matrix at any V is then one small product, and calibration
+solves E(V) = target on the same table.
 
 Recombiners come in two flavours: "ideal" routes by parity match like a
 reversed sorter (losslessly at V=1), while "lossy_pbs" merges both arms
@@ -183,6 +184,9 @@ class ParitySorter(_Element):
 
     noise_slots = ("split",)
     outputs_rule = "sorter outputs must be new paths"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "in_paths", tuple(self.in_paths))
 
     @property
     def inputs(self):
@@ -445,16 +449,8 @@ class _Compiled:
         return transfer
 
 
-_compiled_cached = functools.lru_cache(maxsize=_CACHE_SIZE)(_Compiled)
-
-
-def _compiled(circuit: OpticalCircuit) -> _Compiled:
-    """The cached :class:`_Compiled` of `circuit`, or a fresh one for a
-    circuit with an unhashable field (a list of sorter inputs, say)."""
-    try:
-        return _compiled_cached(circuit)
-    except TypeError:
-        return _Compiled(circuit)
+#: The cached :class:`_Compiled` of a circuit (every circuit is hashable).
+_compiled = functools.lru_cache(maxsize=_CACHE_SIZE)(_Compiled)
 
 
 def _kraus(step: tuple, factors: dict, ideal: bool) -> np.ndarray:
@@ -545,27 +541,39 @@ def output_mode_probabilities(
     return {ell: p for ell, i in outputs.items() if (p := float(rho[i, i].real)) > 0}
 
 
-def _window_probs(steps: list, outputs: dict, window, noise: NoiseParams) -> np.ndarray:
+def _window_probs(c: _Compiled, noise: NoiseParams) -> np.ndarray:
     """Detection probabilities P[i, j] at window mode j for input window
-    mode i, of the steps compiled for every mode of `window`, from one
-    :func:`_mix` batch holding every input; not normalized."""
-    d = len(window)
-    rhos = _mix(steps, np.eye(d), noise)
-    probs = np.zeros((d, d))
+    mode i of the compiled circuit `c`, from one :func:`_mix` batch holding
+    every input; not normalized."""
+    window = c.circuit.window.oam_labels
+    rhos = _mix(c.steps, np.eye(len(window)), noise)
+    probs = np.zeros((len(window), len(window)))
     for j, ell in enumerate(window):
-        if ell in outputs:
-            probs[:, j] = rhos[outputs[ell], :, outputs[ell]].real
+        if ell in c.outputs:
+            probs[:, j] = rhos[c.outputs[ell], :, c.outputs[ell]].real
     return probs
 
 
-def _correlation(steps: list, outputs: dict, window, noise: NoiseParams) -> np.ndarray:
-    """:func:`_window_probs` normalized per row (see :func:`correlation_matrix`)."""
-    probs = _window_probs(steps, outputs, window, noise)
-    totals = probs.sum(axis=1, keepdims=True)
-    if (totals <= 0).any():
-        bad = int(np.nonzero(totals <= 0)[0][0])
-        raise CircuitError(f"no amplitude reaches the window for input {bad}")
-    return probs / totals
+def _chebyshev(v, degree: int) -> np.ndarray:
+    """Chebyshev polynomials T_0 .. T_degree of 2v - 1 at visibility `v`, a
+    number or a 1-D array (one row per visibility)."""
+    return np.cos(np.multiply.outer(np.arccos(2 * np.asarray(v) - 1), np.arange(degree + 1)))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _table(c: _Compiled, throughput: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`_window_probs` of `c` at `throughput` as polynomials in
+    V, whose degree is at most the number k of noise slots: read-only
+    (nodes, probs, coeffs), probs[n] from one pass at each of the k + 1
+    Chebyshev points nodes[n] on [0, 1] (V = 0 and V = 1 among them) and
+    coeffs[:, i * d + j] entry (i, j)'s coefficients of :func:`_chebyshev`."""
+    k = sum(len(e.noise_slots) for e, _, _ in c.steps)
+    nodes = (1 - np.cos(np.arange(k + 1) * math.pi / max(k, 1))) / 2
+    probs = np.stack([_window_probs(c, NoiseParams(v, throughput)) for v in nodes])
+    coeffs = np.linalg.solve(_chebyshev(nodes, k), probs.reshape(k + 1, -1))
+    for table in (nodes, probs, coeffs):
+        table.flags.writeable = False
+    return nodes, probs, coeffs
 
 
 def correlation_matrix(
@@ -577,13 +585,29 @@ def correlation_matrix(
     Row i: inject the basis mode with logical index i, propagate, project
     onto each window mode j on the output path, and divide by the
     within-window total, so each row sums to one regardless of loss or
-    out-of-window leakage.  All rows come from one density-operator pass,
-    whose batch holds d n^2 entries for the n >= d keys reachable from a
-    d-mode window: sized for the 4-mode gate windows.
+    out-of-window leakage.  The probabilities are one product with the
+    circuit's table in V (:func:`_table`), whose k + 1 density-operator
+    passes run on first use at a throughput; at the table's nodes, V = 0
+    and V = 1 among them, they are those passes' own.
     """
     noise = NoiseParams() if noise is None else noise
     c = _compiled(circuit)
-    return _correlation(c.steps, c.outputs, circuit.window.oam_labels, noise)
+    nodes, table, coeffs = _table(c, float(noise.throughput))
+    (at,) = np.nonzero(nodes == noise.visibility)
+    if len(at):
+        probs = table[at[0]]
+    else:
+        row = _chebyshev(noise.visibility, len(nodes) - 1)
+        probs = np.maximum(row @ coeffs, 0.0).reshape(table.shape[1:])
+        # the fit is exact to rounding of the table's largest entry, so a
+        # row a thousand times smaller is taken from a pass of its own
+        if probs.sum(axis=1).min() < 1e-3 * table.max():
+            probs = _window_probs(c, noise)
+    totals = probs.sum(axis=1, keepdims=True)
+    if (totals <= 0).any():
+        bad = int(np.nonzero(totals <= 0)[0][0])
+        raise CircuitError(f"no amplitude reaches the window for input {bad}")
+    return probs / totals
 
 
 def efficiency(
@@ -681,30 +705,13 @@ def build_gate_circuit(kind: str, window: SubspaceMap) -> OpticalCircuit:
     sorter = ParitySorter(("in",), "even", "odd", reflected_parity="even")
     merge = Recombiner("even", "odd", "out", mode="lossy_pbs", reflect="odd")
     if kind == "X":
-        core: list[OpticalElement] = [
-            SpiralPhasePlate("in", +1),
-            sorter,
-            Mirror("odd"),
-            merge,
-        ]
+        core: list[OpticalElement] = [SpiralPhasePlate("in", +1), sorter, Mirror("odd"), merge]
     elif kind == "X2":
-        core = [
-            sorter,
-            Mirror("even"),
-            SpiralPhasePlate("even", +2),
-            Mirror("odd"),
-            merge,
-            Mirror("out"),
-        ]
+        arms = [Mirror("even"), SpiralPhasePlate("even", +2), Mirror("odd")]
+        core = [sorter, *arms, merge, Mirror("out")]
     else:
-        core = [
-            sorter,
-            Mirror("even"),
-            Mirror("even"),
-            Mirror("odd"),
-            merge,
-            SpiralPhasePlate("out", -1),
-        ]
+        arms = [Mirror("even"), Mirror("even"), Mirror("odd")]
+        core = [sorter, *arms, merge, SpiralPhasePlate("out", -1)]
     to_canonical = -2 - window.oam_offset
     elements: list[OpticalElement] = []
     if to_canonical != 0:
@@ -819,39 +826,29 @@ def mean_gate_efficiency(
     return efficiency(matrix, expected_permutation(kind))[1]
 
 
-def _chebyshev(v, degree: int) -> np.ndarray:
-    """Chebyshev polynomials T_0 .. T_degree of 2v - 1 at visibility `v`, a
-    number or a 1-D array (one row per visibility)."""
-    return np.cos(np.multiply.outer(np.arccos(2 * np.asarray(v) - 1), np.arange(degree + 1)))
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _efficiency_curve(kind: str, throughput: float):
     """The mean efficiency E(V) of gate `kind` in closed form, and its values
     on the calibration grid `_GRID`.
 
-    Per input row i, the expected column's probability N_i and the row
-    total D_i are polynomials in V of degree at most k, the number of noise
-    slots, so one pass at each of k + 1 Chebyshev points on [0, 1] fits
-    them exactly; E(V) is the mean of N_i(V) / D_i(V).  The points include
-    V = 0 and V = 1, whose grid values are their passes' own.
+    Per input row i, E_i(V) is N_i(V) / D_i(V), the expected column's entry
+    over the row total, whose coefficients are sums of the gate circuit's
+    :func:`_table` entries; E(V) is their mean.  The grid values at V = 0
+    and V = 1 are the table's node passes' own.
     """
     circuit = build_gate_circuit(kind, SubspaceMap(4, -2))
-    c, window = _compiled(circuit), circuit.window.oam_labels
-    k = sum(len(e.noise_slots) for e, _, _ in c.steps)
-    nodes = (1 - np.cos(np.arange(k + 1) * math.pi / k)) / 2
-    noises = [NoiseParams(v, throughput) for v in nodes]
-    probs = np.stack([_window_probs(c.steps, c.outputs, window, n) for n in noises])
+    _, probs, coeffs = _table(_compiled(circuit), throughput)
     perm = expected_permutation(kind)
-    rows = np.stack([probs[:, range(len(perm)), perm], probs.sum(axis=2)])
-    coeffs = np.linalg.solve(_chebyshev(nodes, k), rows)  # [N or D, T_n, input]
+    k, rows = len(coeffs) - 1, range(len(perm))
+    cells = coeffs.reshape(k + 1, len(perm), -1)
+    fit = np.stack([cells[:, rows, perm], cells.sum(axis=2)])  # [N or D, T_n, input]
 
     def curve(v):
-        num, den = _chebyshev(v, k) @ coeffs
+        num, den = _chebyshev(v, k) @ fit
         return (num / den).mean(axis=-1)
 
     grid = curve(_GRID)
-    grid[[0, -1]] = (rows[0] / rows[1]).mean(axis=-1)[[0, -1]]
+    grid[[0, -1]] = (probs[[0, -1]][:, rows, perm] / probs[[0, -1]].sum(axis=2)).mean(axis=-1)
     grid.flags.writeable = False
     return curve, grid
 

@@ -10,26 +10,29 @@ integer power the same way; every other matrix takes the general dense
 matrix power.
 
 All values are plain complex numpy arrays, immutable by convention; every
-function is pure.  The only shared state is :func:`_tables`, a bounded cache
-of read-only per-dimension tables built on first use, never at import: each
-dimension keeps 16*d^2 + 32*d bytes, one d x d complex matrix's worth (17 KiB
-at d = 32).  So everything here is safe to share across threads.
+function is pure.  The only shared state is the read-only per-dimension
+tables (:class:`_PerDimension`), built on first use, never at import, and
+kept within a byte budget: :data:`_tables` holds 16*d^2 + 32*d bytes per
+dimension, one d x d complex matrix's worth (17 KiB at d = 32), and no
+dimension whose tables exceed the budget is kept.  So everything here is
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 #: Frobenius-norm tolerance for the algebraic identities used throughout.
 ATOL = 1e-12
 
-#: Dimensions whose tables (:func:`_tables`) are kept.
-_ROOTS_CACHE_SIZE = 64
+#: Bytes of per-dimension tables (:class:`_PerDimension`) kept across calls.
+_TABLE_BYTES = 16 * 2**20
 
 
 def check_dim(d: int) -> int:
@@ -52,7 +55,39 @@ def _check_integer(n: int, what: str = "power") -> int:
     return int(n)
 
 
-@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
+#: Every kept per-dimension table, oldest first: (id(cache), d) -> (cache, bytes).
+_kept: OrderedDict = OrderedDict()
+_kept_lock = threading.Lock()
+
+
+class _PerDimension(dict):
+    """d -> the read-only tables `build(d)`, built on the first lookup and
+    kept while all such tables hold at most _TABLE_BYTES bytes in all, the
+    oldest dropped first; tables larger than that alone are never kept.  A
+    lookup of a kept dimension is one dict lookup."""
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, d: int) -> tuple:
+        made = self.build(d)
+        for t in made:
+            t.flags.writeable = False
+        size = sum(t.nbytes for t in made)
+        with _kept_lock:
+            if size <= _TABLE_BYTES and d not in self:
+                self[d] = made
+                _kept[id(self), d] = self, size
+                total = sum(nbytes for _, nbytes in _kept.values())
+                while total > _TABLE_BYTES:
+                    (_, old), (cache, nbytes) = _kept.popitem(last=False)
+                    del cache[old]
+                    total -= nbytes
+        return made
+
+
+@_PerDimension
 def _tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables for X^a Z^b at dimension d: roots2[j] = omega^(j mod d)
     for j < 2d, E[b, l] = b*l mod d and P[a, l], the flat index of the entry
@@ -60,14 +95,7 @@ def _tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a, b, c in [0, d).  E and P are intp: narrower indices gather slower."""
     k = np.arange(d)
     roots = np.exp(2j * np.pi * k / d)
-    tables = (
-        np.concatenate((roots, roots)),
-        np.outer(k, k) % d,
-        (k[:, None] + k) % d * d + k,
-    )
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    return np.concatenate((roots, roots)), np.outer(k, k) % d, (k[:, None] + k) % d * d + k
 
 
 def _weyl(a: int, b: int, c: int, d: int) -> np.ndarray:
@@ -78,7 +106,7 @@ def _weyl(a: int, b: int, c: int, d: int) -> np.ndarray:
     """
     a, b, c = a % d, b % d, c % d
     out = np.zeros(d * d, dtype=complex)  # first: a too-large d fails at once
-    roots2, expo, place = _tables(d)
+    roots2, expo, place = _tables[d]
     out[place[a]] = roots2[c:][expo[b]]
     return out.reshape(d, d)
 
@@ -102,7 +130,7 @@ def _weyl_exponents(g: np.ndarray) -> tuple[int, int] | None:
     if math.isnan(turns):
         return None
     b = round(turns) % d
-    roots2, expo, place = _tables(d)
+    roots2, expo, place = _tables[d]
     if np.count_nonzero(g.reshape(-1)[place[a]] != roots2[expo[b]]):
         return None
     return a, b

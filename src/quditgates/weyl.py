@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import ATOL, _check_integer, _tables, _weyl, check_dim, dagger
+from .pauli import ATOL, _check_integer, _PerDimension, _tables, _weyl, check_dim, dagger
 
 #: Mixing constant for the Hermitian basis.
 CHI = (1 + 1j) / 2
@@ -62,6 +62,15 @@ def q_basis(l: int, m: int, d: int) -> np.ndarray:
     return CHI * dd + np.conj(CHI) * dagger(dd)
 
 
+@_PerDimension
+def _hermitian_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of :func:`hermitian_from_coeffs` at dimension d: the
+    phases exp(i*pi*l*m/d) at [l, m], and at [r, m] the flat index of the
+    entry (r, (r - m) mod d)."""
+    k = np.arange(d)
+    return np.exp(1j * np.pi * np.outer(k, k) / d), k[:, None] * d + (k[:, None] - k) % d
+
+
 def hermitian_from_coeffs(c: np.ndarray) -> np.ndarray:
     """Hermitian matrix A = sum_{l,m} c[l,m] Q(l,m) from a real d x d table.
 
@@ -73,9 +82,8 @@ def hermitian_from_coeffs(c: np.ndarray) -> np.ndarray:
     d = _check_table(c, "coefficient table")
     if np.iscomplexobj(c) and np.abs(c.imag).max() > 0:
         raise ValueError("coefficient table must be real")
-    k = np.arange(d)
-    by_row = d * np.fft.ifft(c.real * np.exp(1j * np.pi * np.outer(k, k) / d), axis=0)
-    b = by_row[k[:, None], (k[:, None] - k) % d]
+    phases, diagonals = _hermitian_tables[d]
+    b = (d * np.fft.ifft(c.real * phases, axis=0)).reshape(-1)[diagonals]
     return CHI * b + np.conj(CHI) * b.conj().T
 
 
@@ -110,7 +118,7 @@ def decompose(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     d = _check_table(u, "matrix")
-    return np.fft.fft(u.reshape(-1)[_tables(d)[2]], axis=1) / d
+    return np.fft.fft(u.reshape(-1)[_tables[d][2]], axis=1) / d
 
 
 def reconstruct(h: np.ndarray) -> np.ndarray:
@@ -118,7 +126,7 @@ def reconstruct(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     d = _check_table(h, "coefficient table")
     out = np.empty(d * d, dtype=complex)
-    out[_tables(d)[2]] = d * np.fft.ifft(h, axis=1)
+    out[_tables[d][2]] = d * np.fft.ifft(h, axis=1)
     return out.reshape(d, d)
 
 

@@ -1,5 +1,6 @@
 """Hypothesis strategies shared by the test modules."""
 
+import itertools
 import math
 
 from hypothesis import strategies as st
@@ -18,16 +19,21 @@ WINDOW = SubspaceMap(4, -2)
 
 
 @st.composite
-def random_circuits(draw):
-    """Small valid circuits of every element type with at most 5 noise slots."""
+def random_circuits(draw, min_slots=0):
+    """Small valid circuits of every element type with at most 5 noise slots
+    and at least `min_slots` (at most 5) of them."""
     live, elements, slots = ["in"], [], 0
-    for n in range(draw(st.integers(0, 7))):
+    count = draw(st.integers(0, 7))
+    for n in itertools.count():
+        if n >= count and slots >= min_slots:
+            break
         kinds = ["spp", "mirror", "phase"]
         if slots < 5:
             kinds.append("sorter")
             if len(live) > 1:
                 kinds.append("recombiner")
-        kind = draw(st.sampled_from(kinds))
+        # past the drawn count, sorters add the slots still missing
+        kind = draw(st.sampled_from(kinds if n < count else ["sorter"]))
         if kind == "recombiner":
             arms = st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True)
             a, b = draw(arms)

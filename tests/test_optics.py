@@ -1,9 +1,10 @@
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditgates import optics
@@ -897,18 +898,109 @@ def test_calibration_sweep_matches_sequential_bisection(kind, target, throughput
 @settings(deadline=None)
 @given(random_circuits(), st.floats(0, 1), st.floats(0.01, 1))
 def test_cached_correlation_equals_a_fresh_compile(circuit, v, throughput):
-    window = circuit.window.oam_labels
-    try:
-        want = optics._correlation(
-            *optics._compile(circuit, window), window, NoiseParams(v, throughput)
-        )
-    except CircuitError:
-        with pytest.raises(CircuitError):
-            correlation_matrix(circuit, NoiseParams(v, throughput))
-        return
+    noise = NoiseParams(v, throughput)
+    with pytest.MonkeyPatch.context() as fresh:
+        # a fresh compiled form, whose table is built anew the same way
+        fresh.setattr(optics, "_compiled", optics._Compiled)
+        try:
+            want = correlation_matrix(circuit, noise)
+        except CircuitError:
+            want = None
     for _ in range(2):  # the second call reads the cache
-        got = correlation_matrix(circuit, NoiseParams(v, throughput))
-        assert np.array_equal(got, want)
+        if want is None:
+            with pytest.raises(CircuitError):
+                correlation_matrix(circuit, noise)
+        else:
+            assert np.array_equal(correlation_matrix(circuit, noise), want)
+
+
+def sorter_arms_merged(output_path):
+    """A sorter whose output arms meet at an ideal recombiner, read at `output_path`."""
+    elements = (
+        ParitySorter(("in",), "e", "o", reflected_parity="odd"),
+        Recombiner("e", "o", "m", mode="ideal", reflect="none"),
+    )
+    return OpticalCircuit(4, WINDOW, elements, output_path=output_path)
+
+
+#: Near V = 1 every input reaches the discard port through leaks alone, so
+#: its window probabilities are tiny next to the table's largest entries.
+LEAKY = sorter_arms_merged("m.discard")
+#: Near V = 1 a leaked entry is tiny next to the rest of its row.
+SPLIT = sorter_arms_merged("m")
+#: Rows mixing paths through one and through two lossy recombiners, whose
+#: normalized values depend on the throughput.
+TWO_LOSSES = OpticalCircuit(
+    4,
+    WINDOW,
+    (
+        ParitySorter(("in",), "e0", "o0"),
+        ParitySorter(("e0",), "e1", "o1"),
+        Recombiner("e1", "o1", "m1"),
+        Recombiner("m1", "o0", "m2"),
+    ),
+    output_path="m2",
+)
+#: Visibilities anywhere in [0, 1], and ones close enough to 1 that some
+#: window probabilities fall far below the table's largest entries.
+VISIBILITIES = st.floats(0, 1) | st.integers(1, 16).map(lambda n: 1 - 10.0**-n)
+
+
+@settings(deadline=None)
+@given(random_circuits(min_slots=1), VISIBILITIES, st.floats(0.01, 1))
+@example(LEAKY, 1 - 1e-6, 0.5)
+@example(SPLIT, 1 - 1e-16, 0.5)
+@example(TWO_LOSSES, 0.7, 0.2)
+def test_table_correlation_matches_a_fresh_mixture_pass(circuit, v, throughput):
+    noise = NoiseParams(v, throughput)
+    probs = optics._window_probs(optics._Compiled(circuit), noise)
+    totals = probs.sum(axis=1, keepdims=True)
+    try:
+        matrix = correlation_matrix(circuit, noise)
+    except CircuitError:
+        assert (totals <= 0).any()
+        return
+    assert np.all(np.abs(matrix - probs / totals) <= 1e-12)
+    assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12)
+    assert np.all(matrix >= 0)
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), random_circuits(min_slots=n))))
+def test_random_circuits_hold_the_noise_slots_asked_for(drawn):
+    n, circuit = drawn
+    assert n <= sum(len(e.noise_slots) for e in circuit.elements) <= 5
+
+
+def test_a_paper_round_runs_one_table_pass_per_node(monkeypatch):
+    passes = Counter()
+
+    def spy(c, noise):
+        passes[c.circuit, noise.throughput] += 1
+        return window_probs(c, noise)
+
+    window_probs = optics._window_probs
+    monkeypatch.setattr(optics, "_window_probs", spy)
+    for cache in (optics._compiled, optics._table, optics._efficiency_curve):
+        cache.cache_clear()
+    for throughput in (0.5, 0.05):
+        for v in (0.0, 0.3, 0.87, 1.0):
+            for kind, target in PAPER_TARGETS:
+                circuit = build_gate_circuit(kind, WINDOW)
+                calibrated = calibrate_visibility(kind, target, throughput=throughput)
+                for noise in (calibrated, NoiseParams(v, throughput)):
+                    correlation_matrix(circuit, noise)
+                    superposition_visibility(circuit, noise)
+                    circuit_unitary_fidelity(circuit, ideal_gate_matrix(kind))
+    noise_free = OpticalCircuit(4, WINDOW, (PhaseShift("in", 0.3),), output_path="in")
+    for v in (0.0, 0.3, 1.0):
+        correlation_matrix(noise_free, NoiseParams(v, 0.5))
+    # a gate circuit has k = 2 noise slots, a sorter and a lossy recombiner
+    want = {
+        (build_gate_circuit(kind, WINDOW), throughput): 3
+        for kind, _ in PAPER_TARGETS
+        for throughput in (0.5, 0.05)
+    }
+    assert passes == {**want, (noise_free, 0.5): 1}
 
 
 def test_each_distinct_circuit_compiles_once(monkeypatch):
@@ -920,8 +1012,8 @@ def test_each_distinct_circuit_compiles_once(monkeypatch):
 
     compile_ = optics._compile
     monkeypatch.setattr(optics, "_compile", spy)
-    optics._compiled_cached.cache_clear()
-    optics._efficiency_curve.cache_clear()
+    for cache in (optics._compiled, optics._table, optics._efficiency_curve):
+        cache.cache_clear()
     for _ in range(3):
         for kind, target in PAPER_TARGETS:
             circuit = build_gate_circuit(kind, WINDOW)
@@ -941,26 +1033,31 @@ def test_each_distinct_circuit_compiles_once(monkeypatch):
 
 
 def test_callers_cannot_change_a_cached_result():
-    circuit, noise = build_gate_circuit("X", WINDOW), NoiseParams(0.7, 0.5)
-    matrix = correlation_matrix(circuit, noise)
-    want = matrix.copy()
-    matrix[:] = 0.0
-    assert np.array_equal(correlation_matrix(circuit, noise), want)
+    circuit = build_gate_circuit("X", WINDOW)
+    for noise in (NoiseParams(0.7, 0.5), NoiseParams(1.0, 0.5)):  # fitted, a node
+        matrix = correlation_matrix(circuit, noise)
+        want = matrix.copy()
+        matrix[:] = 0.0
+        assert np.array_equal(correlation_matrix(circuit, noise), want)
     entry = optics._compiled(circuit)
     _, grid = optics._efficiency_curve("X", 0.5)
-    for array in [entry.transfer, grid] + [basis for _, _, basis in entry.steps]:
+    tables = optics._table(entry, 0.5)
+    for array in [entry.transfer, grid, *tables] + [basis for _, _, basis in entry.steps]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
 
-def test_unhashable_circuits_are_compiled_afresh():
+def test_sorter_inputs_given_as_a_list_share_the_tuple_forms_cache_entry():
     sorter = ParitySorter(["in"], "even", "odd", reflected_parity="even")
+    assert sorter.in_paths == ("in",)
     circuit = replace(
         build_gate_circuit("X", WINDOW),
         elements=(SpiralPhasePlate("in", 1), sorter, Mirror("odd"), Recombiner("even", "odd", "out")),
     )
-    noise = NoiseParams(0.7, 0.5)
     want = build_gate_circuit("X", WINDOW)
+    assert circuit == want and hash(circuit) == hash(want)
+    assert optics._compiled(circuit) is optics._compiled(want)
+    noise = NoiseParams(0.7, 0.5)
     assert np.array_equal(correlation_matrix(circuit, noise), correlation_matrix(want, noise))
     assert circuit_unitary_fidelity(circuit, make_x(4)) == pytest.approx(1.0, abs=1e-12)
 

@@ -15,6 +15,7 @@ from quditgates import (
     basis_state,
     dagger,
     gate_power,
+    hermitian_from_coeffs,
     is_hermitian,
     is_unitary,
     make_x,
@@ -25,7 +26,7 @@ from quditgates import (
     shift_clock,
     weyl_operator,
 )
-from quditgates import pauli
+from quditgates import pauli, weyl
 
 from oracles import index_weyl
 
@@ -319,7 +320,7 @@ def test_integer_matrices_are_powered_in_complex_arithmetic(n):
 
 def test_roots_of_unity_table_is_read_only():
     # and so is every other cached table; the index tables are intp
-    roots2, expo, place = pauli._tables(5)
+    roots2, expo, place = pauli._tables[5]
     for table in (roots2, expo, place):
         with pytest.raises(ValueError, match="read-only"):
             table[1] = 1
@@ -335,7 +336,7 @@ def test_matrices_failing_the_cheap_checks_build_no_table():
         two_in_column_0,
         np.outer(np.ones(67), np.eye(67)[1]),  # d nonzeros, none in column 0
     ]
-    pauli._tables.cache_clear()
+    clear_tables()
     for g in cheap_failures:
         assert np.array_equal(gate_power(g, 3), general_power(g, 3))
     x = np.roll(np.eye(67), 1, axis=0)  # X, built without the library
@@ -343,22 +344,53 @@ def test_matrices_failing_the_cheap_checks_build_no_table():
     nan_phase[2, 1] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         gate_power(nan_phase, 3)
-    assert pauli._tables.cache_info().currsize == 0
+    assert not pauli._kept
     # one ulp off X passes the cheap checks, so the exact check builds the table
     ulp = x.copy()
     ulp[1, 0] = np.nextafter(1.0, 2.0)
     assert np.array_equal(gate_power(ulp, 3), general_power(ulp, 3))
-    assert pauli._tables.cache_info().currsize == 1
+    assert list(pauli._kept) == [(id(pauli._tables), 67)]
 
 
 def test_importing_builds_no_table():
-    code = "from quditgates import pauli; print(pauli._tables.cache_info().currsize)"
+    code = "from quditgates import pauli, weyl; print(len(pauli._kept))"
     src = str(Path(__file__).parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60,
     )
     assert proc.stdout == "0\n"
+
+
+def clear_tables():
+    """Drop every kept per-dimension table."""
+    with pauli._kept_lock:
+        for cache, _ in pauli._kept.values():
+            cache.clear()
+        pauli._kept.clear()
+
+
+def test_no_dimension_over_the_table_budget_stays_cached(monkeypatch):
+    # the X^a Z^b tables take 16 d^2 + 32 d bytes, the hermitian_from_coeffs
+    # ones 24 d^2
+    monkeypatch.setattr(pauli, "_TABLE_BYTES", 100_000)
+    clear_tables()
+    try:
+        make_x(64), make_x(16)  # 67584 + 4608 bytes
+        hermitian_from_coeffs(np.zeros((32, 32)))  # 24576 more
+        make_x(24)  # 9984 more: the oldest tables, d = 64, go
+        assert list(pauli._tables) == [16, 24]
+        assert list(weyl._hermitian_tables) == [32]
+        hermitian_from_coeffs(np.zeros((56, 56)))  # 75264 more: d = 16 and 32 go
+        assert list(pauli._tables) == [24]
+        assert list(weyl._hermitian_tables) == [56]
+        assert sum(nbytes for _, nbytes in pauli._kept.values()) == 9984 + 75264
+        make_x(80)  # 104960 bytes alone: built, never kept
+        assert list(pauli._tables) == [24]
+        assert np.array_equal(make_x(80), index_weyl(1, 0, 0, 80))
+        assert not any(t.flags.writeable for t in pauli._tables[80])
+    finally:
+        clear_tables()
 
 
 @pytest.mark.parametrize("call, args, message", [
