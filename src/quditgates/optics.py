@@ -5,9 +5,9 @@ that carry complex amplitudes indexed by (path, OAM label).  The element
 vocabulary is small: spiral phase plates add an integer to the OAM label,
 mirrors negate it, a parity sorter routes even and odd labels to separate
 paths (its reflected output port also negates the label), and a recombiner
-merges the two arms back onto one path.  Three builders assemble the
-4-dimensional circuits that realize the cyclic shift gate, its square and
-its inverse on a contiguous 4-mode window.
+merges the two arms back onto one path.  :func:`build_gate_circuit`
+assembles the 4-dimensional circuits that realize the cyclic shift gate,
+its square and its inverse on a contiguous 4-mode window.
 
 Imperfection model
 ------------------
@@ -25,34 +25,23 @@ Detection probabilities are those averages.
 Every result comes from one engine.  A circuit is compiled once onto the
 (path, OAM label) keys reachable from its inputs, each noisy element
 becoming one Kraus pair (four operators for an ideal recombiner, which has
-two slots); runs of noise-free elements are folded into the next noisy
-element.  The signs are independent, so the statistics do not enumerate
-the 2^k patterns: a batch of density operators goes through the steps in
-one pass, every noisy element mapping rho to the mean of K rho K^dagger
-over its operators (the operator-sum form), so the cost grows linearly
-with k.  At V=1 each step has a single operator, and their product is the
-ideal window transfer.  :func:`propagate_branches` multiplies out the
-operators of every sign pattern for callers that want the branches
-themselves.  Every element defines its per-key action and its topology
-once (:class:`_Element`) for compilation and checks.
+two slots) and runs of noise-free elements folding into the next noisy
+one.  A batch of density operators goes through the steps in one pass,
+each mapping rho to the mean of K rho K^dagger over its operators, so the
+cost grows linearly with k.  At V=1 each step has a single operator, and
+their product is the ideal window transfer; :func:`propagate_branches`
+multiplies out the operators of every sign pattern.
 
-Bounded caches keep each circuit's compiled form and ideal window
-transfer, and per throughput its window probabilities in closed form:
-each noise slot's averaged map is affine in V, so they are polynomials in
-V of degree <= k, fitted from one pass at each of k + 1 visibilities.  A
-correlation matrix at any V is then one small product, and calibration
-solves E(V) = target on the same table.
+The pass also runs graded, each slot at V = 1 and at V = 0: for a basis
+input each window probability is then sum_j V^(k-j) (1-V)^j P_j, P_j >= 0.
+Bounded caches keep each circuit's compiled form, its ideal transfer and
+per throughput those P_j: a correlation matrix at any V is one weighted
+sum, and calibration solves E(V) = target on them.
 
-Recombiners come in two flavours: "ideal" routes by parity match like a
-reversed sorter (losslessly at V=1), while "lossy_pbs" merges both arms
-unconditionally and scales every amplitude by sqrt(throughput), modeling a
-polarization-based recombination that trades a constant loss for
-stability.  Row-normalized correlation matrices are invariant under that
-loss.
-
-Circuits and amplitude maps are immutable during propagation; all
-functions are pure.  Monte Carlo counts derive one substream per
-(seed, input row), so rows may be sampled concurrently.
+Recombiners are "ideal" (a reversed sorter, lossless at V=1) or
+"lossy_pbs" (an unconditional merge at a constant loss, which row
+normalization removes).  All functions are pure, and Monte Carlo counts
+derive one substream per (seed, input row).
 """
 
 from __future__ import annotations
@@ -94,14 +83,14 @@ class CalibrationError(RuntimeError):
     """Raised when visibility calibration cannot reach the requested target."""
 
 
-def _noise_factors(v: float, throughput: float) -> dict:
-    """Weight factors of the all-plus noise branch at visibility `v`: correct
-    port, wrong port, odd-arm phase e^{i arccos v} and recombiner loss.  A
-    minus split sign negates "leak", a minus phase sign conjugates "arm"."""
+def _noise_factors(split: float, phase: float, throughput: float) -> dict:
+    """Weight factors of the all-plus noise branch at the split and phase
+    slots' visibilities: correct port, wrong port, odd-arm phase and
+    recombiner loss.  A minus split sign negates "leak", a minus phase sign conjugates "arm"."""
     return {
-        "keep": np.sqrt((1 + v) / 2),
-        "leak": 1j * np.sqrt((1 - v) / 2),
-        "arm": v + 1j * np.sqrt(1 - v * v),
+        "keep": np.sqrt((1 + split) / 2),
+        "leak": 1j * np.sqrt((1 - split) / 2),
+        "arm": phase + 1j * np.sqrt(1 - phase * phase),
         "tau": math.sqrt(throughput),
     }
 
@@ -473,7 +462,7 @@ def _branch_amplitudes(steps: list, psi: np.ndarray, noise: NoiseParams) -> np.n
     in :func:`_kraus` order: K_p is the product of the steps' Kraus
     operators on that pattern, and each column of the (n_in, c) `psi` holds
     the amplitudes of one input."""
-    factors = _noise_factors(noise.visibility, noise.throughput)
+    factors = _noise_factors(noise.visibility, noise.visibility, noise.throughput)
     amps = psi[None]
     for step in steps:
         ops = _kraus(step, factors, noise.visibility == 1.0)
@@ -494,9 +483,9 @@ def propagate_branches(
     probabilities over them is the exact expectation under the model.  Each
     branch is the product of the compiled steps' Kraus operators on that
     sign pattern applied to `state`, which lives on the input path, and
-    holds the nonzero amplitudes on the output path only.  The statistics
-    take the equivalent density-operator pass instead, at a cost linear in k.
+    holds the nonzero amplitudes on the output path only.
     """
+    noise = _checked(circuit, noise)
     labels, psi = _check_input(circuit, state)
     steps, outputs = _compile(circuit, labels)
     amps = _branch_amplitudes(steps, psi[:, None], noise)[..., 0]
@@ -507,23 +496,33 @@ def propagate_branches(
     ]
 
 
-def _mix(steps: list, psi: np.ndarray, noise: NoiseParams) -> np.ndarray:
+def _mix(steps: list, psi: np.ndarray, levels: tuple, throughput: float) -> np.ndarray:
     """The noise-averaged output density operators of the pure inputs held
-    in the columns of the (n_in, batch) `psi`: `rhos[a, b, c]` is entry
-    (a, c) of input b's operator.  Each step maps every operator to the mean of
-    K rho K^dagger over the step's Kraus operators K (:func:`_kraus`); two
-    matrix products per step cover the whole batch and all K."""
-    factors = _noise_factors(noise.visibility, noise.throughput)
-    batch = psi.shape[1]
-    rhos = psi[:, :, None] * psi.conj().T
+    in the columns of the (n_in, batch) `psi`, in grades: `rhos[g, a, b, c]`
+    is entry (a, c) of grade g of input b's operator.  For every assignment
+    of a (visibility, grade shift) pair of `levels` to each noise slot of
+    its element, a step adds the mean of K rho K^dagger over the Kraus
+    operators K at those visibilities (:func:`_kraus`) into the grade
+    shifted by the sum of the shifts: ((v, 0),) is one pass at V = v."""
+    n_in, batch = psi.shape
+    rhos = (psi[:, :, None] * psi.conj().T)[:, None]  # the grade axis second
     for step in steps:
-        ops = _kraus(step, factors, noise.visibility == 1.0)
-        m, n_out, n_in = ops.shape
-        left = ops.reshape(m * n_out, n_in) @ rhos.reshape(n_in, batch * n_in)
-        left = left.reshape(m, n_out * batch, n_in).transpose(1, 0, 2)
-        ops_h = ops.conj().transpose(0, 2, 1).reshape(m * n_in, n_out) / m
-        rhos = (left.reshape(n_out * batch, m * n_in) @ ops_h).reshape(n_out, batch, n_out)
-    return rhos
+        slots, n_out, grades = step[0].noise_slots, step[2].shape[1], rhos.shape[1]
+        top = grades + max(shift for _, shift in levels) * len(slots)
+        out = np.zeros((n_out, top, batch, n_out), dtype=complex)
+        for assignment in itertools.product(levels, repeat=len(slots)):
+            v = {slot: level for slot, (level, _) in zip(slots, assignment)}
+            split, phase = v.get("split", 1.0), v.get("phase", 1.0)
+            ops = _kraus(step, _noise_factors(split, phase, throughput), split == phase == 1.0)
+            m, b = len(ops), grades * batch
+            left = ops.reshape(m * n_out, n_in) @ rhos.reshape(n_in, b * n_in)
+            left = left.reshape(m, n_out * b, n_in).transpose(1, 0, 2)
+            ops_h = ops.conj().transpose(0, 2, 1).reshape(m * n_in, n_out) / m
+            mixed = left.reshape(n_out * b, m * n_in) @ ops_h
+            shift = sum(s for _, s in assignment)
+            out[:, shift : shift + grades] += mixed.reshape(n_out, grades, batch, n_out)
+        rhos, n_in = out, n_out
+    return rhos.transpose(1, 0, 2, 3)
 
 
 def output_mode_probabilities(
@@ -535,45 +534,57 @@ def output_mode_probabilities(
     path, from one density-operator pass through the compiled steps: the
     weighted mean of |amplitude|^2 over the :func:`propagate_branches`
     branches, without enumerating them."""
+    noise = _checked(circuit, noise)
     labels, psi = _check_input(circuit, state)
     steps, outputs = _compile(circuit, labels)
-    rho = _mix(steps, psi[:, None], noise)[:, 0]
+    rho = _mix(steps, psi[:, None], ((noise.visibility, 0),), noise.throughput)[0, :, 0]
     return {ell: p for ell, i in outputs.items() if (p := float(rho[i, i].real)) > 0}
 
 
-def _window_probs(c: _Compiled, noise: NoiseParams) -> np.ndarray:
-    """Detection probabilities P[i, j] at window mode j for input window
-    mode i of the compiled circuit `c`, from one :func:`_mix` batch holding
-    every input; not normalized."""
+def _window_probs(c: _Compiled, levels: tuple, throughput: float) -> np.ndarray:
+    """Detection probabilities P[g, i, j] at window mode j for input window
+    mode i of the compiled circuit `c`, in the grades of one :func:`_mix`
+    batch holding every input; not normalized."""
     window = c.circuit.window.oam_labels
-    rhos = _mix(c.steps, np.eye(len(window)), noise)
-    probs = np.zeros((len(window), len(window)))
+    rhos = _mix(c.steps, np.eye(len(window)), levels, throughput)
+    probs = np.zeros((len(rhos), len(window), len(window)))
     for j, ell in enumerate(window):
         if ell in c.outputs:
-            probs[:, j] = rhos[c.outputs[ell], :, c.outputs[ell]].real
+            probs[:, :, j] = rhos[:, c.outputs[ell], :, c.outputs[ell]].real
     return probs
 
 
-def _chebyshev(v, degree: int) -> np.ndarray:
-    """Chebyshev polynomials T_0 .. T_degree of 2v - 1 at visibility `v`, a
-    number or a 1-D array (one row per visibility)."""
-    return np.cos(np.multiply.outer(np.arccos(2 * np.asarray(v) - 1), np.arange(degree + 1)))
+def _grades(v, k: int) -> np.ndarray:
+    """The weights V^(k-j) (1-V)^j of grades j = 0..k at visibility `v`, a
+    number or a 1-D array (one row per visibility); one-hot at V = 1, 0."""
+    j = np.arange(k + 1)
+    v = np.asarray(v)[..., None]
+    return v ** (k - j) * (1 - v) ** j
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _table(c: _Compiled, throughput: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`_window_probs` of `c` at `throughput` as polynomials in
-    V, whose degree is at most the number k of noise slots: read-only
-    (nodes, probs, coeffs), probs[n] from one pass at each of the k + 1
-    Chebyshev points nodes[n] on [0, 1] (V = 0 and V = 1 among them) and
-    coeffs[:, i * d + j] entry (i, j)'s coefficients of :func:`_chebyshev`."""
-    k = sum(len(e.noise_slots) for e, _, _ in c.steps)
-    nodes = (1 - np.cos(np.arange(k + 1) * math.pi / max(k, 1))) / 2
-    probs = np.stack([_window_probs(c, NoiseParams(v, throughput)) for v in nodes])
-    coeffs = np.linalg.solve(_chebyshev(nodes, k), probs.reshape(k + 1, -1))
-    for table in (nodes, probs, coeffs):
-        table.flags.writeable = False
-    return nodes, probs, coeffs
+def _table(c: _Compiled, throughput: float) -> np.ndarray:
+    """The :func:`_window_probs` of `c` at `throughput` in closed form: the
+    read-only P[j, i, m] of one pass at the levels V = 1 and V = 0, whose
+    sum over j weighted by V^(k-j) (1-V)^j (:func:`_grades`) is probability
+    (i, m) at V.  Exact for basis inputs only: two histories of one input
+    part at a slot, one keeping and one leaking, so their coherence averages
+    to zero at both levels and each slot leaves one |factor|^2, affine in
+    its V.  Every P[j] is non-negative; rounding below zero is cut."""
+    probs = _window_probs(c, ((1.0, 0), (0.0, 1)), throughput)
+    np.maximum(probs, 0.0, out=probs)
+    probs.flags.writeable = False
+    return probs
+
+
+def _checked(circuit: OpticalCircuit, noise: NoiseParams | None = None) -> NoiseParams:
+    """`noise`, or NoiseParams() for None; TypeError naming an argument that
+    is not an OpticalCircuit or NoiseParams."""
+    if not isinstance(circuit, OpticalCircuit):
+        raise TypeError(f"circuit must be an OpticalCircuit, got {type(circuit).__name__}")
+    if not isinstance(noise, NoiseParams | None):
+        raise TypeError(f"noise must be NoiseParams, got {type(noise).__name__}")
+    return NoiseParams() if noise is None else noise
 
 
 def correlation_matrix(
@@ -585,24 +596,14 @@ def correlation_matrix(
     Row i: inject the basis mode with logical index i, propagate, project
     onto each window mode j on the output path, and divide by the
     within-window total, so each row sums to one regardless of loss or
-    out-of-window leakage.  The probabilities are one product with the
-    circuit's table in V (:func:`_table`), whose k + 1 density-operator
-    passes run on first use at a throughput; at the table's nodes, V = 0
-    and V = 1 among them, they are those passes' own.
+    out-of-window leakage.  The probabilities are one weighted sum of the
+    grades of :func:`_table`, built by one pass on first use at a
+    throughput, and at V = 1 and V = 0 single grades bit for bit.
     """
-    noise = NoiseParams() if noise is None else noise
-    c = _compiled(circuit)
-    nodes, table, coeffs = _table(c, float(noise.throughput))
-    (at,) = np.nonzero(nodes == noise.visibility)
-    if len(at):
-        probs = table[at[0]]
-    else:
-        row = _chebyshev(noise.visibility, len(nodes) - 1)
-        probs = np.maximum(row @ coeffs, 0.0).reshape(table.shape[1:])
-        # the fit is exact to rounding of the table's largest entry, so a
-        # row a thousand times smaller is taken from a pass of its own
-        if probs.sum(axis=1).min() < 1e-3 * table.max():
-            probs = _window_probs(c, noise)
+    noise = _checked(circuit, noise)
+    table = _table(_compiled(circuit), float(noise.throughput))
+    k = len(table) - 1
+    probs = (_grades(noise.visibility, k) @ table.reshape(k + 1, -1)).reshape(table.shape[1:])
     totals = probs.sum(axis=1, keepdims=True)
     if (totals <= 0).any():
         bad = int(np.nonzero(totals <= 0)[0][0])
@@ -713,13 +714,9 @@ def build_gate_circuit(kind: str, window: SubspaceMap) -> OpticalCircuit:
         arms = [Mirror("even"), Mirror("even"), Mirror("odd")]
         core = [sorter, *arms, merge, SpiralPhasePlate("out", -1)]
     to_canonical = -2 - window.oam_offset
-    elements: list[OpticalElement] = []
     if to_canonical != 0:
-        elements.append(SpiralPhasePlate("in", to_canonical))
-    elements.extend(core)
-    if to_canonical != 0:
-        elements.append(SpiralPhasePlate("out", -to_canonical))
-    return OpticalCircuit(4, window, tuple(elements))
+        core = [SpiralPhasePlate("in", to_canonical), *core, SpiralPhasePlate("out", -to_canonical)]
+    return OpticalCircuit(4, window, tuple(core))
 
 
 def trace_modes(kind: str, inputs: tuple[int, ...] = (-2, -1, 0, 1)) -> tuple[int, ...]:
@@ -767,6 +764,7 @@ def circuit_unitary_fidelity(circuit: OpticalCircuit, gate: np.ndarray) -> float
     window; the result is 1 exactly when the circuit realizes `gate` up to
     a global phase.  A non-finite gate entry raises ValueError.
     """
+    _checked(circuit)
     gate = np.asarray(gate, dtype=complex)
     d = circuit.dim
     if gate.shape != (d, d):
@@ -789,9 +787,11 @@ def superposition_visibility(
     projections, and average the expected outcome's probability over both
     input signs.  1.0 for the ideal circuit, 0.5 when the sorter visibility
     is zero (phases scrambled).  Raises CircuitError if either input mode
-    does not map onto a single window mode.
+    does not map onto a single window mode, or no amplitude of the noisy
+    circuit reaches it.  The coherences are not polynomials in V, so this
+    takes a density-operator pass of its own.
     """
-    noise = NoiseParams() if noise is None else noise
+    noise = _checked(circuit, noise)
     w = circuit.window
     ins = [w.dim - 2, w.dim - 1]
     c = _compiled(circuit)
@@ -802,11 +802,13 @@ def superposition_visibility(
             raise CircuitError(
                 f"logical mode {j} does not map onto a single window mode"
             )
+        if w.to_oam(i) not in c.outputs:
+            raise CircuitError(f"no amplitude reaches window mode {i} for input {j}")
     phase = transfer[outs[1], ins[1]] / transfer[outs[0], ins[0]]
     # the steps take every window mode; both inputs live on the last two
     psi = np.zeros((w.dim, 2), dtype=complex)
     psi[ins] = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    rho = _mix(c.steps, psi, noise)
+    rho = _mix(c.steps, psi, ((noise.visibility, 0),), noise.throughput)[0]
     a, b = (c.outputs[w.to_oam(i)] for i in outs)
     # <e|rho|e> / (rho_aa + rho_bb) is 1/2 + s cross for the expected outcome
     # |e> = (|a'> + s e^{i phi} |b'>)/sqrt(2) of input sign s = +1, -1
@@ -832,23 +834,20 @@ def _efficiency_curve(kind: str, throughput: float):
     on the calibration grid `_GRID`.
 
     Per input row i, E_i(V) is N_i(V) / D_i(V), the expected column's entry
-    over the row total, whose coefficients are sums of the gate circuit's
-    :func:`_table` entries; E(V) is their mean.  The grid values at V = 0
-    and V = 1 are the table's node passes' own.
+    over the row total, each a weighted sum of the grades of the gate
+    circuit's :func:`_table` (single grades at V = 0 and V = 1); E(V) is
+    their mean.
     """
     circuit = build_gate_circuit(kind, SubspaceMap(4, -2))
-    _, probs, coeffs = _table(_compiled(circuit), throughput)
+    table = _table(_compiled(circuit), throughput)
     perm = expected_permutation(kind)
-    k, rows = len(coeffs) - 1, range(len(perm))
-    cells = coeffs.reshape(k + 1, len(perm), -1)
-    fit = np.stack([cells[:, rows, perm], cells.sum(axis=2)])  # [N or D, T_n, input]
+    fit = np.stack([table[:, range(len(perm)), perm], table.sum(axis=2)])  # [N or D, grade, input]
 
     def curve(v):
-        num, den = _chebyshev(v, k) @ fit
+        num, den = _grades(v, len(table) - 1) @ fit
         return (num / den).mean(axis=-1)
 
     grid = curve(_GRID)
-    grid[[0, -1]] = (probs[[0, -1]][:, rows, perm] / probs[[0, -1]].sum(axis=2)).mean(axis=-1)
     grid.flags.writeable = False
     return curve, grid
 
@@ -881,7 +880,7 @@ def calibrate_visibility(
     achievable range raise CalibrationError naming it, and a target within
     `tol` of the value at V = 1 (else V = 0) returns that endpoint.
 
-    The search runs on the closed form of :func:`_efficiency_curve`, fitted
+    The search runs on the closed form of :func:`_efficiency_curve`, built
     once per (kind, throughput): it solves E(V) = target to rounding inside
     the grid cell that brackets the target, and raises CalibrationError if
     the root it finds misses the target by more than `tol`.

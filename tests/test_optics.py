@@ -705,6 +705,19 @@ PHASE_CIRCUIT = OpticalCircuit(
     WINDOW,
     (ParitySorter(("in",), "even", "odd"), PhaseShift("odd", 0.7), Recombiner("even", "odd", "out")),
 )
+#: The o2 keys bypass the second sorter, so the mean of K rho K^dagger over
+#: its sign keeps a coherence linear in sqrt((1+V)/2): the superposition's
+#: statistic is not a polynomial in V.
+NESTED_SORTERS = OpticalCircuit(
+    4,
+    WINDOW,
+    (
+        ParitySorter(("in",), "e2", "o2"),
+        ParitySorter(("e2",), "e3", "o3"),
+        Recombiner("e3", "o2", "m4", mode="ideal"),
+    ),
+    output_path="m4",
+)
 
 
 def test_superposition_visibility_uses_the_ideal_relative_phase():
@@ -738,8 +751,9 @@ def oracle_superposition_visibility(circuit, noise):
 @pytest.mark.parametrize("v", [0.3, 0.87])
 @pytest.mark.parametrize(
     "circuit",
-    [build_gate_circuit(kind, WINDOW) for kind in ("X", "X2", "Xdagger")] + [PHASE_CIRCUIT],
-    ids=["X", "X2", "Xdagger", "phase"],
+    [build_gate_circuit(kind, WINDOW) for kind in ("X", "X2", "Xdagger")]
+    + [PHASE_CIRCUIT, NESTED_SORTERS],
+    ids=["X", "X2", "Xdagger", "phase", "nested_sorters"],
 )
 def test_superposition_visibility_matches_the_branch_oracle(circuit, v, throughput):
     noise = NoiseParams(v, throughput)
@@ -753,6 +767,44 @@ def test_superposition_visibility_rejects_pairs_off_the_window():
     )
     with pytest.raises(CircuitError, match="logical mode 3"):
         superposition_visibility(circuit)
+
+
+def test_superposition_visibility_rejects_pairs_the_noisy_circuit_never_reaches():
+    # the ideal transfer sends the pair to m1.discard, which the lossy
+    # recombiner never feeds
+    elements = (
+        ParitySorter(("in",), "e0", "o0", "even"),
+        Recombiner("o0", "e0", "m1", mode="lossy_pbs", reflect="even"),
+    )
+    circuit = OpticalCircuit(4, WINDOW, elements, output_path="m1.discard")
+    with pytest.raises(CircuitError, match="no amplitude reaches window mode 2 for input 2"):
+        superposition_visibility(circuit)
+
+
+STATE = {("in", 0): 1.0}
+#: Each call given a circuit and a noise in turn.
+CALLS = {
+    "correlation_matrix": correlation_matrix,
+    "superposition_visibility": superposition_visibility,
+    "output_mode_probabilities": lambda c, noise: output_mode_probabilities(c, STATE, noise),
+    "propagate_branches": lambda c, noise: propagate_branches(c, STATE, noise),
+    "circuit_unitary_fidelity": lambda c, noise: circuit_unitary_fidelity(c, np.eye(4)),
+}
+
+
+@pytest.mark.parametrize(
+    "name,circuit,noise,argument",
+    [(name, "X", NoiseParams(), "circuit") for name in CALLS]
+    + [
+        (name, build_gate_circuit("X", WINDOW), bad, "noise")
+        for name in CALLS
+        if name != "circuit_unitary_fidelity"
+        for bad in [(0.9, 0.5), 0.9]
+    ],
+)
+def test_arguments_of_the_wrong_type_raise_a_named_type_error(name, circuit, noise, argument):
+    with pytest.raises(TypeError, match=f"^{argument} must be "):
+        CALLS[name](circuit, noise)
 
 
 # --- calibration on the closed form ------------------------------------------
@@ -826,8 +878,8 @@ def test_calibration_matches_sequential_bisection(kind, target, tol):
 @pytest.mark.parametrize("throughput", [0.01, 0.02, 0.045, 0.5])
 @pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
 def test_calibration_returns_exact_endpoints_at_zero_tolerance(kind, throughput):
-    # the fitted polynomials miss E(1) = 1 and E(0) = 0.75 by an ulp at
-    # some throughputs; the endpoints come from the pass itself
+    # the endpoints are single grades of the table, so E(1) = 1 and
+    # E(0) = 0.75 hold to the ulp at every throughput
     for target in (1.0, 0.75):
         check_against_bisection(kind, target, throughput=throughput, tol=0.0)
 
@@ -924,7 +976,7 @@ def sorter_arms_merged(output_path):
 
 
 #: Near V = 1 every input reaches the discard port through leaks alone, so
-#: its window probabilities are tiny next to the table's largest entries.
+#: its window probabilities are tiny.
 LEAKY = sorter_arms_merged("m.discard")
 #: Near V = 1 a leaked entry is tiny next to the rest of its row.
 SPLIT = sorter_arms_merged("m")
@@ -942,7 +994,7 @@ TWO_LOSSES = OpticalCircuit(
     output_path="m2",
 )
 #: Visibilities anywhere in [0, 1], and ones close enough to 1 that some
-#: window probabilities fall far below the table's largest entries.
+#: window probabilities are tiny.
 VISIBILITIES = st.floats(0, 1) | st.integers(1, 16).map(lambda n: 1 - 10.0**-n)
 
 
@@ -953,7 +1005,7 @@ VISIBILITIES = st.floats(0, 1) | st.integers(1, 16).map(lambda n: 1 - 10.0**-n)
 @example(TWO_LOSSES, 0.7, 0.2)
 def test_table_correlation_matches_a_fresh_mixture_pass(circuit, v, throughput):
     noise = NoiseParams(v, throughput)
-    probs = optics._window_probs(optics._Compiled(circuit), noise)
+    probs = optics._window_probs(optics._Compiled(circuit), ((v, 0),), throughput)[0]
     totals = probs.sum(axis=1, keepdims=True)
     try:
         matrix = correlation_matrix(circuit, noise)
@@ -965,18 +1017,32 @@ def test_table_correlation_matches_a_fresh_mixture_pass(circuit, v, throughput):
     assert np.all(matrix >= 0)
 
 
+@settings(deadline=None)
+@given(random_circuits(), st.floats(0.01, 1))
+def test_table_grades_are_non_negative_and_exact_at_both_ends(circuit, throughput):
+    c = optics._Compiled(circuit)
+    table = optics._table.__wrapped__(c, throughput)
+    k = sum(len(e.noise_slots) for e in circuit.elements)
+    assert table.shape == (k + 1, 4, 4)
+    assert np.all(table >= 0)
+    for v in (0.0, 1.0):
+        want = np.maximum(optics._window_probs(c, ((v, 0),), throughput)[0], 0.0)
+        got = (optics._grades(v, k) @ table.reshape(k + 1, -1)).reshape(4, 4)
+        assert np.array_equal(got, want)
+
+
 @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), random_circuits(min_slots=n))))
 def test_random_circuits_hold_the_noise_slots_asked_for(drawn):
     n, circuit = drawn
     assert n <= sum(len(e.noise_slots) for e in circuit.elements) <= 5
 
 
-def test_a_paper_round_runs_one_table_pass_per_node(monkeypatch):
+def test_a_paper_round_builds_one_graded_table_per_circuit_and_throughput(monkeypatch):
     passes = Counter()
 
-    def spy(c, noise):
-        passes[c.circuit, noise.throughput] += 1
-        return window_probs(c, noise)
+    def spy(c, levels, throughput):
+        passes[c.circuit, throughput, levels] += 1
+        return window_probs(c, levels, throughput)
 
     window_probs = optics._window_probs
     monkeypatch.setattr(optics, "_window_probs", spy)
@@ -994,13 +1060,13 @@ def test_a_paper_round_runs_one_table_pass_per_node(monkeypatch):
     noise_free = OpticalCircuit(4, WINDOW, (PhaseShift("in", 0.3),), output_path="in")
     for v in (0.0, 0.3, 1.0):
         correlation_matrix(noise_free, NoiseParams(v, 0.5))
-    # a gate circuit has k = 2 noise slots, a sorter and a lossy recombiner
+    graded = ((1.0, 0), (0.0, 1))
     want = {
-        (build_gate_circuit(kind, WINDOW), throughput): 3
+        (build_gate_circuit(kind, WINDOW), throughput, graded): 1
         for kind, _ in PAPER_TARGETS
         for throughput in (0.5, 0.05)
     }
-    assert passes == {**want, (noise_free, 0.5): 1}
+    assert passes == {**want, (noise_free, 0.5, graded): 1}
 
 
 def test_each_distinct_circuit_compiles_once(monkeypatch):
@@ -1034,15 +1100,15 @@ def test_each_distinct_circuit_compiles_once(monkeypatch):
 
 def test_callers_cannot_change_a_cached_result():
     circuit = build_gate_circuit("X", WINDOW)
-    for noise in (NoiseParams(0.7, 0.5), NoiseParams(1.0, 0.5)):  # fitted, a node
+    for noise in (NoiseParams(0.7, 0.5), NoiseParams(1.0, 0.5)):  # inside, an end
         matrix = correlation_matrix(circuit, noise)
         want = matrix.copy()
         matrix[:] = 0.0
         assert np.array_equal(correlation_matrix(circuit, noise), want)
     entry = optics._compiled(circuit)
     _, grid = optics._efficiency_curve("X", 0.5)
-    tables = optics._table(entry, 0.5)
-    for array in [entry.transfer, grid, *tables] + [basis for _, _, basis in entry.steps]:
+    table = optics._table(entry, 0.5)
+    for array in [entry.transfer, grid, table] + [basis for _, _, basis in entry.steps]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
