@@ -34,9 +34,9 @@ multiplies out the operators of every sign pattern.
 
 The pass also runs graded, each slot at V = 1 and at V = 0: for a basis
 input each window probability is then sum_j V^(k-j) (1-V)^j P_j, P_j >= 0.
-Bounded caches keep each circuit's compiled form, its ideal transfer and
-per throughput those P_j: a correlation matrix at any V is one weighted
-sum, and calibration solves E(V) = target on them.
+Bounded caches keep the gate circuits, each circuit's compiled form and
+ideal transfer, and per throughput those P_j: a warm correlation matrix at
+any V is one weighted sum, and calibration solves E(V) = target on them.
 
 Recombiners are "ideal" (a reversed sorter, lossless at V=1) or
 "lossy_pbs" (an unconditional merge at a constant loss, which row
@@ -137,6 +137,10 @@ class SpiralPhasePlate(_OnePath):
 
     path: str
     delta_ell: int
+
+    def field_error(self):
+        if isinstance(self.delta_ell, bool) or not isinstance(self.delta_ell, (int, np.integer)):
+            return f"delta_ell must be an integer, got {self.delta_ell!r}"
 
     def routes(self, path, ell):
         return (((path, ell + self.delta_ell), ()),)
@@ -264,6 +268,11 @@ class PhaseShift(_OnePath):
     path: str
     phi: float
 
+    def field_error(self):
+        phi = self.phi
+        if isinstance(phi, bool) or not isinstance(phi, _REALS) or not math.isfinite(phi):
+            return f"phi must be a finite real number, got {phi!r}"
+
     def routes(self, path, ell):
         return (((path, ell), ("phase",)),)
 
@@ -313,33 +322,28 @@ class OpticalCircuit:
         check_dim(self.dim)
         if self.window.dim != self.dim:
             raise CircuitError(
-                f"window dimension {self.window.dim} does not match circuit "
-                f"dimension {self.dim}"
+                f"window dimension {self.window.dim} does not match circuit dimension {self.dim}"
             )
         object.__setattr__(self, "elements", tuple(self.elements))
-        _validate_topology(self)
-
-
-def _validate_topology(circuit: OpticalCircuit) -> None:
-    """Walk the elements keeping the live paths: inputs live, outputs new."""
-    live = {circuit.input_path}
-    for pos, e in enumerate(circuit.elements):
-        if not isinstance(e, OpticalElement):
-            raise CircuitError(f"element {pos}: unknown element {e!r}")
-        if problem := e.field_error():
-            raise CircuitError(f"element {pos}: {problem}")
-        for src in e.inputs:
-            if src not in live:
-                raise CircuitError(f"element {pos}: dead path reference {src!r}")
-        if new := e.outputs:
-            if not live.isdisjoint(new) or len(set(new)) < len(new):
-                raise CircuitError(f"element {pos}: {e.outputs_rule}")
-            live.difference_update(e.inputs)
-            live.update(new)
-    if circuit.output_path not in live:
-        raise CircuitError(
-            f"output path {circuit.output_path!r} is not live after the last element"
-        )
+        # walk the elements keeping the live paths: inputs live, outputs new
+        live, types = {self.input_path}, OpticalElement.__args__
+        for pos, e in enumerate(self.elements):
+            if not isinstance(e, types):
+                raise CircuitError(f"element {pos}: unknown element {e!r}")
+            if problem := e.field_error():
+                raise CircuitError(f"element {pos}: {problem}")
+            for src in e.inputs:
+                if src not in live:
+                    raise CircuitError(f"element {pos}: dead path reference {src!r}")
+            if new := e.outputs:
+                if not live.isdisjoint(new) or len(set(new)) < len(new):
+                    raise CircuitError(f"element {pos}: {e.outputs_rule}")
+                live.difference_update(e.inputs)
+                live.update(new)
+        if self.output_path not in live:
+            raise CircuitError(
+                f"output path {self.output_path!r} is not live after the last element"
+            )
 
 
 def _check_input(circuit: OpticalCircuit, state: Amplitudes) -> tuple[list, np.ndarray]:
@@ -557,9 +561,8 @@ def _window_probs(c: _Compiled, levels: tuple, throughput: float) -> np.ndarray:
 def _grades(v, k: int) -> np.ndarray:
     """The weights V^(k-j) (1-V)^j of grades j = 0..k at visibility `v`, a
     number or a 1-D array (one row per visibility); one-hot at V = 1, 0."""
-    j = np.arange(k + 1)
-    v = np.asarray(v)[..., None]
-    return v ** (k - j) * (1 - v) ** j
+    j = np.arange(k + 1.0)
+    return np.power.outer(v, k - j) * np.power.outer(1 - v, j)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -605,9 +608,8 @@ def correlation_matrix(
     k = len(table) - 1
     probs = (_grades(noise.visibility, k) @ table.reshape(k + 1, -1)).reshape(table.shape[1:])
     totals = probs.sum(axis=1, keepdims=True)
-    if (totals <= 0).any():
-        bad = int(np.nonzero(totals <= 0)[0][0])
-        raise CircuitError(f"no amplitude reaches the window for input {bad}")
+    if not totals.min() > 0:  # no total is negative, so argmin is the first zero row
+        raise CircuitError(f"no amplitude reaches the window for input {np.argmin(totals)}")
     return probs / totals
 
 
@@ -626,19 +628,15 @@ def efficiency(
     m = np.asarray(matrix, dtype=float)
     expected = list(expected)
     if m.ndim != 2 or m.shape[0] != len(expected):
-        raise ValueError(
-            f"expected permutation of length {m.shape[0]}, got {len(expected)}"
-        )
+        raise ValueError(f"expected permutation of length {m.shape[0]}, got {len(expected)}")
     d = m.shape[1]
     for i, col in enumerate(expected):
         if isinstance(col, bool) or not isinstance(col, (int, np.integer)) or not 0 <= col < d:
             raise ValueError(f"expected[{i}] = {col!r} is not an integer in [0, {d})")
-    totals = _row_totals(m, "efficiency undefined")
-    if (totals <= 0).any():
-        bad = int(np.nonzero(totals <= 0)[0][0])
-        raise ValueError(f"efficiency undefined: row {bad} has zero total counts")
+    zero = "efficiency undefined: row {} has zero total counts"
+    totals = _row_totals(m, "efficiency undefined", zero)
     per_input = m[np.arange(len(expected)), expected] / totals
-    return per_input, float(per_input.mean())
+    return per_input, float(per_input.sum() / len(per_input))
 
 
 def _check_cells(m: np.ndarray, context: str) -> None:
@@ -653,18 +651,19 @@ def _check_cells(m: np.ndarray, context: str) -> None:
         )
 
 
-def _row_totals(m: np.ndarray, context: str) -> np.ndarray:
-    """Row sums of the 2-D `m`; raise ValueError naming the first entry that
-    :func:`_check_cells` rejects, or else the first row whose finite
-    entries sum to infinity."""
+def _row_totals(m: np.ndarray, context: str, zero: str) -> np.ndarray:
+    """Row sums of the 2-D `m`, all finite and positive; else ValueError naming
+    the first entry that :func:`_check_cells` rejects, else the first row whose
+    finite entries sum to infinity, else (message `zero`) the first zero row."""
     with np.errstate(over="ignore", invalid="ignore"):
         totals = m.sum(axis=1)
     # a NaN or infinite cell makes its row total non-finite as well
-    if np.isfinite(totals).all() and (m >= 0).all():
+    if not totals.size or 0 < totals.min() <= totals.max() < math.inf and m.min() >= 0:
         return totals
     _check_cells(m, context)
-    i = int(np.argmin(np.isfinite(totals)))
-    raise ValueError(f"{context}: row {i} sums to {totals[i]}, not a finite number")
+    if totals.max() == math.inf:  # cells are finite and non-negative: argmax is the first inf row
+        raise ValueError(f"{context}: row {np.argmax(totals)} sums to inf, not a finite number")
+    raise ValueError(zero.format(np.argmin(totals)))
 
 
 def _shift(kind: str) -> int:
@@ -683,7 +682,8 @@ def expected_permutation(kind: str, d: int = 4) -> list[int]:
 
 def build_gate_circuit(kind: str, window: SubspaceMap) -> OpticalCircuit:
     """Circuit realizing the cyclic shift ("X"), its square ("X2") or its
-    inverse ("Xdagger") on a contiguous 4-mode OAM window.
+    inverse ("Xdagger") on a contiguous 4-mode OAM window, built once per
+    (kind, window): equal arguments return one shared immutable circuit.
 
     The parity-sorting constructions close the mode cycle only for d=4; a
     window centered elsewhere than {-2..1} is handled by shifting all
@@ -699,10 +699,15 @@ def build_gate_circuit(kind: str, window: SubspaceMap) -> OpticalCircuit:
       arm, recombine, then shift -1.
     """
     _shift(kind)
+    if not isinstance(window, SubspaceMap):
+        raise TypeError(f"window must be a SubspaceMap, got {type(window).__name__}")
+    return _gate_circuit(kind, window)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _gate_circuit(kind: str, window: SubspaceMap) -> OpticalCircuit:
     if window.dim != 4:
-        raise CircuitError(
-            f"gate circuits require a 4-dimensional window, got dim {window.dim}"
-        )
+        raise CircuitError(f"gate circuits require a 4-dimensional window, got dim {window.dim}")
     sorter = ParitySorter(("in",), "even", "odd", reflected_parity="even")
     merge = Recombiner("even", "odd", "out", mode="lossy_pbs", reflect="odd")
     if kind == "X":
@@ -885,34 +890,32 @@ def calibrate_visibility(
     the grid cell that brackets the target, and raises CalibrationError if
     the root it finds misses the target by more than `tol`.
     """
+    target = target_mean_efficiency
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    if not 0.25 < target_mean_efficiency <= 1.0:
-        raise CalibrationError(
-            f"target mean efficiency must lie in (0.25, 1], got "
-            f"{target_mean_efficiency}"
-        )
+    if isinstance(target, bool) or not isinstance(target, _REALS):
+        raise ValueError(f"target_mean_efficiency must be a real number, got {target!r}")
+    if not 0.25 < target <= 1.0:
+        raise CalibrationError(f"target mean efficiency must lie in (0.25, 1], got {target}")
     _shift(kind)
     NoiseParams(1.0, throughput)  # validates the throughput
     curve, values = _efficiency_curve(kind, float(throughput))
     if np.any(values[1:] < values[:-1] - 1e-12):
         raise CalibrationError("mean efficiency is not monotone in visibility")
     lo_eff, hi_eff = values[0], values[-1]
-    if not lo_eff - tol <= target_mean_efficiency <= hi_eff + tol:
+    if not lo_eff - tol <= target <= hi_eff + tol:
         raise CalibrationError(
-            f"target {target_mean_efficiency} unreachable; achievable mean "
+            f"target {target} unreachable; achievable mean "
             f"efficiency range is [{lo_eff:.4f}, {hi_eff:.4f}]"
         )
     for v_exact, e_exact in ((1.0, hi_eff), (0.0, lo_eff)):
-        if abs(e_exact - target_mean_efficiency) <= tol:
+        if abs(e_exact - target) <= tol:
             return NoiseParams(v_exact, throughput)
     # the target now lies strictly between values[0] and values[-1]
-    j = int(np.argmax(values >= target_mean_efficiency))
-    v = _solve(curve, target_mean_efficiency, _GRID[j - 1], _GRID[j])
-    if not abs(curve(v) - target_mean_efficiency) <= tol:
-        raise CalibrationError(
-            f"calibration failed to reach target {target_mean_efficiency} within {tol}"
-        )
+    j = int(np.argmax(values >= target))
+    v = _solve(curve, target, _GRID[j - 1], _GRID[j])
+    if not abs(curve(v) - target) <= tol:
+        raise CalibrationError(f"calibration failed to reach target {target} within {tol}")
     return NoiseParams(v, throughput)
 
 
@@ -939,13 +942,10 @@ def monte_carlo_counts(
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if shots_per_input > 2**63 - 1:
         raise ValueError(f"shots_per_input must be at most 2**63 - 1, got {shots_per_input}")
-    totals = _row_totals(m, "probability matrix")
+    totals = _row_totals(m, "probability matrix", "row {} is not a probability distribution")
     counts = np.zeros(m.shape, dtype=np.int64)
     for i, (row, total) in enumerate(zip(m, totals)):
-        if total <= 0:
-            raise ValueError(f"row {i} is not a probability distribution")
-        rng = np.random.default_rng([int(seed), i])
-        counts[i] = rng.multinomial(shots_per_input, row / total)
+        counts[i] = np.random.default_rng([int(seed), i]).multinomial(shots_per_input, row / total)
     return counts
 
 

@@ -1,6 +1,6 @@
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -394,6 +394,31 @@ def test_build_gate_circuit_rejects_bad_inputs():
         build_gate_circuit("X", SubspaceMap(5, -2))
 
 
+@pytest.mark.parametrize("window", [None, (4, -2), [4, -2], {"dim": 4}, 4])
+def test_build_gate_circuit_names_a_window_that_is_not_a_subspace_map(window):
+    # unhashable windows included: the check comes before the cache lookup
+    message = f"window must be a SubspaceMap, got {type(window).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build_gate_circuit("X", window)
+    with pytest.raises(ValueError, match="^unsupported gate kind 'X3'"):
+        build_gate_circuit("X3", window)  # the kind is checked first
+
+
+@pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
+def test_build_gate_circuit_shares_one_frozen_circuit_per_kind_and_window(kind):
+    circuit = build_gate_circuit(kind, WINDOW)
+    assert build_gate_circuit(kind, SubspaceMap(4, np.int64(-2))) is circuit
+    assert build_gate_circuit(kind, SubspaceMap(4, 0)) is not circuit
+    assert isinstance(circuit.elements, tuple)
+    with pytest.raises(FrozenInstanceError):
+        circuit.elements = ()
+    with pytest.raises(FrozenInstanceError):
+        circuit.elements[0].out_even = "odd"
+    optics._gate_circuit.cache_clear()
+    rebuilt = build_gate_circuit(kind, WINDOW)
+    assert rebuilt is not circuit and rebuilt == circuit
+
+
 def test_circuit_topology_validation():
     with pytest.raises(CircuitError, match="dead path"):
         OpticalCircuit(4, WINDOW, (Mirror("nope"),))
@@ -470,11 +495,42 @@ MERGE = Recombiner("even", "odd", "m")
         ((Mirror("in"), None), "element 1: unknown element None"),
         ((SORT,), "output path 'out' is not live after the last element"),
         ((SORT, MERGE), "output path 'out' is not live after the last element"),
+        ((PhaseShift("in", np.nan),), "element 0: phi must be a finite real number, got nan"),
+        ((PhaseShift("in", np.inf),), "element 0: phi must be a finite real number, got inf"),
+        (
+            (Mirror("in"), PhaseShift("in", np.float64(-np.inf))),
+            "element 1: phi must be a finite real number, got np.float64(-inf)",
+        ),
+        ((PhaseShift("in", True),), "element 0: phi must be a finite real number, got True"),
+        ((PhaseShift("in", "0.5"),), "element 0: phi must be a finite real number, got '0.5'"),
+        ((PhaseShift("in", 0.5j),), "element 0: phi must be a finite real number, got 0.5j"),
+        ((PhaseShift("in", None),), "element 0: phi must be a finite real number, got None"),
+        ((SpiralPhasePlate("in", 2.5),), "element 0: delta_ell must be an integer, got 2.5"),
+        ((SpiralPhasePlate("in", 2.0),), "element 0: delta_ell must be an integer, got 2.0"),
+        ((SpiralPhasePlate("in", True),), "element 0: delta_ell must be an integer, got True"),
+        (
+            (SpiralPhasePlate("in", np.bool_(False)),),
+            "element 0: delta_ell must be an integer, got np.False_",
+        ),
+        ((SpiralPhasePlate("in", "x"),), "element 0: delta_ell must be an integer, got 'x'"),
+        ((SpiralPhasePlate("in", None),), "element 0: delta_ell must be an integer, got None"),
+        # field rules come before the live-path checks here too
+        ((SpiralPhasePlate("x", 0.5),), "element 0: delta_ell must be an integer, got 0.5"),
     ],
 )
 def test_every_topology_error_keeps_its_message(elements, message):
     with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
         OpticalCircuit(4, WINDOW, elements, output_path="out")
+
+
+@pytest.mark.parametrize("delta", [2, -3, np.int64(2), np.uint8(1), 10**30])
+@pytest.mark.parametrize(
+    "phi", [0, 1, np.int64(-2), 0.5, np.float32(0.25), np.float64(-3.5), 1e308]
+)
+def test_integer_plates_and_finite_phases_of_any_real_type_are_accepted(delta, phi):
+    elements = (SpiralPhasePlate("in", delta), PhaseShift("in", phi))
+    circuit = OpticalCircuit(4, WINDOW, elements, output_path="in")
+    assert circuit.elements == elements
 
 
 def test_noise_params_validation():
@@ -499,6 +555,24 @@ def test_noise_params_reject_values_that_are_not_real_numbers(field, value):
 def test_noise_params_accept_integer_and_numpy_reals(visibility, throughput):
     noise = NoiseParams(visibility, throughput)
     assert (noise.visibility, noise.throughput) == (visibility, throughput)
+
+
+@pytest.mark.parametrize("target", [True, False, np.bool_(True), "0.9", None, 0.9 + 0j, [0.9]])
+def test_calibration_rejects_a_target_that_is_not_a_real_number(target):
+    message = f"target_mean_efficiency must be a real number, got {target!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calibrate_visibility("X", target)
+
+
+@pytest.mark.parametrize("target", [0.25, 1.5, -1, np.nan, np.float64(0.2)])
+def test_calibration_keeps_the_range_error_for_real_targets(target):
+    with pytest.raises(CalibrationError, match=r"must lie in \(0.25, 1\]"):
+        calibrate_visibility("X", target)
+
+
+def test_calibration_takes_integer_and_numpy_targets():
+    assert calibrate_visibility("X", 1) == NoiseParams(1.0, 0.5)
+    assert calibrate_visibility("X", np.float64(0.873)) == calibrate_visibility("X", 0.873)
 
 
 def test_calibration_rejects_a_bool_throughput():
@@ -1046,7 +1120,7 @@ def test_a_paper_round_builds_one_graded_table_per_circuit_and_throughput(monkey
 
     window_probs = optics._window_probs
     monkeypatch.setattr(optics, "_window_probs", spy)
-    for cache in (optics._compiled, optics._table, optics._efficiency_curve):
+    for cache in (optics._gate_circuit, optics._compiled, optics._table, optics._efficiency_curve):
         cache.cache_clear()
     for throughput in (0.5, 0.05):
         for v in (0.0, 0.3, 0.87, 1.0):
@@ -1078,7 +1152,7 @@ def test_each_distinct_circuit_compiles_once(monkeypatch):
 
     compile_ = optics._compile
     monkeypatch.setattr(optics, "_compile", spy)
-    for cache in (optics._compiled, optics._table, optics._efficiency_curve):
+    for cache in (optics._gate_circuit, optics._compiled, optics._table, optics._efficiency_curve):
         cache.cache_clear()
     for _ in range(3):
         for kind, target in PAPER_TARGETS:
@@ -1224,3 +1298,111 @@ def test_monte_carlo_draws_one_substream_per_row():
     for i, row in enumerate(wide):
         want = np.random.default_rng([9, i]).multinomial(1000, row / row.sum())
         assert np.array_equal(counts[i], want)
+
+
+def eye_with(cells=(), rows=()):
+    """The 4x4 identity with `cells` ((i, j, value), ...) and `rows` ((i, row), ...) set."""
+    m = np.eye(4)
+    for i, j, value in cells:
+        m[i, j] = value
+    for i, row in rows:
+        m[i] = row
+    return m
+
+
+#: Matrices that fail the one-pass row check, each with the message that
+#: efficiency and then monte_carlo_counts raise for it.
+ROW_CHECK_CASES = {
+    "nan-cell": (
+        eye_with(cells=[(2, 1, np.nan)]),
+        "efficiency undefined: row 2, column 1 holds nan, not a finite non-negative number",
+        "probability matrix: row 2, column 1 holds nan, not a finite non-negative number",
+    ),
+    "inf-cell": (
+        eye_with(cells=[(2, 1, np.inf)]),
+        "efficiency undefined: row 2, column 1 holds inf, not a finite non-negative number",
+        "probability matrix: row 2, column 1 holds inf, not a finite non-negative number",
+    ),
+    "minus-inf-cell": (
+        eye_with(cells=[(2, 1, -np.inf)]),
+        "efficiency undefined: row 2, column 1 holds -inf, not a finite non-negative number",
+        "probability matrix: row 2, column 1 holds -inf, not a finite non-negative number",
+    ),
+    "negative-cell": (
+        eye_with(cells=[(2, 1, -0.5)]),
+        "efficiency undefined: row 2, column 1 holds -0.5, not a finite non-negative number",
+        "probability matrix: row 2, column 1 holds -0.5, not a finite non-negative number",
+    ),
+    "negative-cell-in-a-row-summing-to-zero": (
+        eye_with(rows=[(1, [1, -1, 0, 0])]),
+        "efficiency undefined: row 1, column 1 holds -1.0, not a finite non-negative number",
+        "probability matrix: row 1, column 1 holds -1.0, not a finite non-negative number",
+    ),
+    "zero-row": (
+        eye_with(rows=[(2, 0.0)]),
+        "efficiency undefined: row 2 has zero total counts",
+        "row 2 is not a probability distribution",
+    ),
+    "finite-row-summing-to-inf": (
+        eye_with(rows=[(1, 1e308)]),
+        "efficiency undefined: row 1 sums to inf, not a finite number",
+        "probability matrix: row 1 sums to inf, not a finite number",
+    ),
+    "zero-row-before-a-row-summing-to-inf": (
+        eye_with(rows=[(0, 0.0), (2, 1e308)]),
+        "efficiency undefined: row 2 sums to inf, not a finite number",
+        "probability matrix: row 2 sums to inf, not a finite number",
+    ),
+    "zero-row-before-a-nan-cell": (
+        eye_with(cells=[(3, 2, np.nan)], rows=[(0, 0.0)]),
+        "efficiency undefined: row 3, column 2 holds nan, not a finite non-negative number",
+        "probability matrix: row 3, column 2 holds nan, not a finite non-negative number",
+    ),
+    "row-summing-to-inf-before-a-nan-cell": (
+        eye_with(cells=[(3, 1, np.nan)], rows=[(0, 1e308)]),
+        "efficiency undefined: row 3, column 1 holds nan, not a finite non-negative number",
+        "probability matrix: row 3, column 1 holds nan, not a finite non-negative number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ROW_CHECK_CASES)
+def test_every_row_check_message_is_kept(case):
+    matrix, efficiency_message, counts_message = ROW_CHECK_CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(efficiency_message)}$"):
+        efficiency(matrix, [1, 2, 3, 0])
+    with pytest.raises(ValueError, match=f"^{re.escape(counts_message)}$"):
+        monte_carlo_counts(matrix, 10, 1)
+
+
+def test_row_checks_on_matrices_without_rows_or_columns():
+    assert monte_carlo_counts(np.zeros((0, 4)), 10, 1).shape == (0, 4)
+    with pytest.raises(ValueError, match="^row 0 is not a probability distribution$"):
+        monte_carlo_counts(np.zeros((4, 0)), 10, 1)
+
+
+@pytest.mark.parametrize("shift,row", [(2, 2), (-1, 0), (1, 3)])
+def test_correlation_names_the_first_input_with_an_all_zero_row(shift, row):
+    circuit = OpticalCircuit(4, WINDOW, (SpiralPhasePlate("in", shift),), output_path="in")
+    for v in (0.0, 0.8, 1.0):
+        message = f"no amplitude reaches the window for input {row}"
+        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+            correlation_matrix(circuit, NoiseParams(v, 0.5))
+
+
+def reference_grades(v, k):
+    """The grade weights as numpy integer-exponent powers, the reference the
+    weights must equal bit for bit."""
+    j = np.arange(k + 1)
+    v = np.asarray(v)[..., None]
+    return v ** (k - j) * (1 - v) ** j
+
+
+@given(
+    st.floats(0, 1) | st.sampled_from([0, 1, np.float32(0.87), 1 - 1e-16]),
+    st.integers(0, 40),
+)
+def test_grade_weights_equal_the_integer_power_reference(v, k):
+    assert np.array_equal(optics._grades(v, k), reference_grades(v, k))
+    grid = np.append(optics._GRID, v)
+    assert np.array_equal(optics._grades(grid, k), reference_grades(grid, k))
