@@ -22,7 +22,7 @@ over the 2^k two-point sign patterns (phase = +/- arccos V) equals the
 exact expectation: the model is sampled without Monte Carlo error.
 Detection probabilities are those averages.
 
-Every result comes from one engine.  A circuit is compiled once onto the
+Every result reads one compiled form.  A circuit is compiled once onto the
 (path, OAM label) keys reachable from its inputs, each noisy element
 becoming one Kraus pair (four operators for an ideal recombiner, which has
 two slots) and runs of noise-free elements folding into the next noisy
@@ -32,8 +32,10 @@ cost grows linearly with k.  At V=1 each step has a single operator, and
 their product is the ideal window transfer; :func:`propagate_branches`
 multiplies out the operators of every sign pattern.
 
-The pass also runs graded, each slot at V = 1 and at V = 0: for a basis
-input each window probability is then sum_j V^(k-j) (1-V)^j P_j, P_j >= 0.
+Basis inputs need no density operators: their histories part only at
+split slots, one keeping and one leaking, so no coherence survives and the
+window probabilities are a product of real matrices, one per step.  Over
+the s steps with a split slot each is sum_j V^(s-j) (1-V)^j P_j, P_j >= 0.
 Bounded caches keep the gate circuits, each circuit's compiled form and
 ideal transfer, and per throughput those P_j: a warm correlation matrix at
 any V is one weighted sum, and calibration solves E(V) = target on them.
@@ -47,6 +49,7 @@ derive one substream per (seed, input row).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import math
@@ -83,14 +86,14 @@ class CalibrationError(RuntimeError):
     """Raised when visibility calibration cannot reach the requested target."""
 
 
-def _noise_factors(split: float, phase: float, throughput: float) -> dict:
-    """Weight factors of the all-plus noise branch at the split and phase
-    slots' visibilities: correct port, wrong port, odd-arm phase and
-    recombiner loss.  A minus split sign negates "leak", a minus phase sign conjugates "arm"."""
+def _noise_factors(visibility: float, throughput: float) -> dict:
+    """Weight factors of the all-plus noise branch at `visibility`: correct
+    port, wrong port, odd-arm phase and recombiner loss.  A minus split sign
+    negates "leak", a minus phase sign conjugates "arm"."""
     return {
-        "keep": np.sqrt((1 + split) / 2),
-        "leak": 1j * np.sqrt((1 - split) / 2),
-        "arm": phase + 1j * np.sqrt(1 - phase * phase),
+        "keep": np.sqrt((1 + visibility) / 2),
+        "leak": 1j * np.sqrt((1 - visibility) / 2),
+        "arm": visibility + 1j * np.sqrt(1 - visibility * visibility),
         "tau": math.sqrt(throughput),
     }
 
@@ -270,8 +273,10 @@ class PhaseShift(_OnePath):
 
     def field_error(self):
         phi = self.phi
-        if isinstance(phi, bool) or not isinstance(phi, _REALS) or not math.isfinite(phi):
-            return f"phi must be a finite real number, got {phi!r}"
+        with contextlib.suppress(OverflowError):  # math.isfinite overflows on huge ints
+            if not isinstance(phi, bool) and isinstance(phi, _REALS) and math.isfinite(phi):
+                return None
+        return f"phi must be a finite real number, got {phi!r}"
 
     def routes(self, path, ell):
         return (((path, ell), ("phase",)),)
@@ -446,15 +451,16 @@ class _Compiled:
 _compiled = functools.lru_cache(maxsize=_CACHE_SIZE)(_Compiled)
 
 
-def _kraus(step: tuple, factors: dict, ideal: bool) -> np.ndarray:
+def _kraus(step: tuple, noise: NoiseParams) -> np.ndarray:
     """ops[p]: the (n_out, n_in) Kraus operator of a compiled `step` on sign
     pattern p of its element's noise slots, the first slot most significant,
-    for the `factors` of :func:`_noise_factors`.  At V=1 (`ideal`) every
-    pattern gives the same operator, so only the all-plus one is taken (the
-    empty map, as missing signs default to +1)."""
+    at `noise` (:func:`_noise_factors`).  At V=1 every pattern gives the
+    same operator, so only the all-plus one is taken (the empty map, as
+    missing signs default to +1)."""
     e, names, basis = step
+    factors = _noise_factors(noise.visibility, noise.throughput)
     patterns = itertools.product((1, -1), repeat=len(e.noise_slots))
-    signs = [{}] if ideal else [dict(zip(e.noise_slots, p)) for p in patterns]
+    signs = [{}] if noise.visibility == 1.0 else [dict(zip(e.noise_slots, p)) for p in patterns]
     ws = [e.weights(factors, s.get("split", 1), s.get("phase", 1)) for s in signs]
     table = np.array([[math.prod(w[n] for n in fs) for w in ws] for fs in names], complex)
     f, n_out, n_in = basis.shape
@@ -466,10 +472,9 @@ def _branch_amplitudes(steps: list, psi: np.ndarray, noise: NoiseParams) -> np.n
     in :func:`_kraus` order: K_p is the product of the steps' Kraus
     operators on that pattern, and each column of the (n_in, c) `psi` holds
     the amplitudes of one input."""
-    factors = _noise_factors(noise.visibility, noise.visibility, noise.throughput)
     amps = psi[None]
     for step in steps:
-        ops = _kraus(step, factors, noise.visibility == 1.0)
+        ops = _kraus(step, noise)
         amps = (ops[None] @ amps[:, None]).reshape(len(amps) * len(ops), -1, psi.shape[1])
     return amps
 
@@ -500,33 +505,21 @@ def propagate_branches(
     ]
 
 
-def _mix(steps: list, psi: np.ndarray, levels: tuple, throughput: float) -> np.ndarray:
+def _mix(steps: list, psi: np.ndarray, noise: NoiseParams) -> np.ndarray:
     """The noise-averaged output density operators of the pure inputs held
-    in the columns of the (n_in, batch) `psi`, in grades: `rhos[g, a, b, c]`
-    is entry (a, c) of grade g of input b's operator.  For every assignment
-    of a (visibility, grade shift) pair of `levels` to each noise slot of
-    its element, a step adds the mean of K rho K^dagger over the Kraus
-    operators K at those visibilities (:func:`_kraus`) into the grade
-    shifted by the sum of the shifts: ((v, 0),) is one pass at V = v."""
-    n_in, batch = psi.shape
-    rhos = (psi[:, :, None] * psi.conj().T)[:, None]  # the grade axis second
+    in the columns of the (n_in, batch) `psi`: `rhos[a, b, c]` is entry
+    (a, c) of input b's operator.  Each step maps rho to the mean of
+    K rho K^dagger over its Kraus operators K at `noise` (:func:`_kraus`)."""
+    batch = psi.shape[1]
+    rhos = psi[:, :, None] * psi.conj().T
     for step in steps:
-        slots, n_out, grades = step[0].noise_slots, step[2].shape[1], rhos.shape[1]
-        top = grades + max(shift for _, shift in levels) * len(slots)
-        out = np.zeros((n_out, top, batch, n_out), dtype=complex)
-        for assignment in itertools.product(levels, repeat=len(slots)):
-            v = {slot: level for slot, (level, _) in zip(slots, assignment)}
-            split, phase = v.get("split", 1.0), v.get("phase", 1.0)
-            ops = _kraus(step, _noise_factors(split, phase, throughput), split == phase == 1.0)
-            m, b = len(ops), grades * batch
-            left = ops.reshape(m * n_out, n_in) @ rhos.reshape(n_in, b * n_in)
-            left = left.reshape(m, n_out * b, n_in).transpose(1, 0, 2)
-            ops_h = ops.conj().transpose(0, 2, 1).reshape(m * n_in, n_out) / m
-            mixed = left.reshape(n_out * b, m * n_in) @ ops_h
-            shift = sum(s for _, s in assignment)
-            out[:, shift : shift + grades] += mixed.reshape(n_out, grades, batch, n_out)
-        rhos, n_in = out, n_out
-    return rhos.transpose(1, 0, 2, 3)
+        ops = _kraus(step, noise)
+        m, n_out, n_in = ops.shape
+        left = ops.reshape(m * n_out, n_in) @ rhos.reshape(n_in, batch * n_in)
+        left = left.reshape(m, n_out * batch, n_in).transpose(1, 0, 2)
+        ops_h = ops.conj().transpose(0, 2, 1).reshape(m * n_in, n_out) / m
+        rhos = (left.reshape(n_out * batch, m * n_in) @ ops_h).reshape(n_out, batch, n_out)
+    return rhos
 
 
 def output_mode_probabilities(
@@ -541,21 +534,8 @@ def output_mode_probabilities(
     noise = _checked(circuit, noise)
     labels, psi = _check_input(circuit, state)
     steps, outputs = _compile(circuit, labels)
-    rho = _mix(steps, psi[:, None], ((noise.visibility, 0),), noise.throughput)[0, :, 0]
+    rho = _mix(steps, psi[:, None], noise)[:, 0]
     return {ell: p for ell, i in outputs.items() if (p := float(rho[i, i].real)) > 0}
-
-
-def _window_probs(c: _Compiled, levels: tuple, throughput: float) -> np.ndarray:
-    """Detection probabilities P[g, i, j] at window mode j for input window
-    mode i of the compiled circuit `c`, in the grades of one :func:`_mix`
-    batch holding every input; not normalized."""
-    window = c.circuit.window.oam_labels
-    rhos = _mix(c.steps, np.eye(len(window)), levels, throughput)
-    probs = np.zeros((len(rhos), len(window), len(window)))
-    for j, ell in enumerate(window):
-        if ell in c.outputs:
-            probs[:, :, j] = rhos[:, c.outputs[ell], :, c.outputs[ell]].real
-    return probs
 
 
 def _grades(v, k: int) -> np.ndarray:
@@ -565,19 +545,36 @@ def _grades(v, k: int) -> np.ndarray:
     return np.power.outer(v, k - j) * np.power.outer(1 - v, j)
 
 
+def _transport(step: tuple, v: float, throughput: float) -> np.ndarray:
+    """A[dst, src]: the mean probability that a compiled `step` takes a basis
+    input from key src to dst at visibility v, sum_f E|t_f|^2 |basis[f]|^2 with
+    the exact means (1+v)/2 (keep), (1-v)/2 (leak), 1 (arm), throughput (tau)."""
+    means = {"keep": (1 + v) / 2, "leak": (1 - v) / 2, "arm": 1.0, "tau": throughput}
+    weights = [math.prod(means[n] for n in fs) for fs in step[1]]
+    return np.tensordot(weights, (step[2] * step[2].conj()).real, 1)
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _table(c: _Compiled, throughput: float) -> np.ndarray:
-    """The :func:`_window_probs` of `c` at `throughput` in closed form: the
-    read-only P[j, i, m] of one pass at the levels V = 1 and V = 0, whose
-    sum over j weighted by V^(k-j) (1-V)^j (:func:`_grades`) is probability
-    (i, m) at V.  Exact for basis inputs only: two histories of one input
-    part at a slot, one keeping and one leaking, so their coherence averages
-    to zero at both levels and each slot leaves one |factor|^2, affine in
-    its V.  Every P[j] is non-negative; rounding below zero is cut."""
-    probs = _window_probs(c, ((1.0, 0), (0.0, 1)), throughput)
-    np.maximum(probs, 0.0, out=probs)
-    probs.flags.writeable = False
-    return probs
+    """The read-only P[j, i, m] of the compiled circuit `c` at `throughput`,
+    whose sum over j weighted by V^(s-j) (1-V)^j (:func:`_grades`) is the
+    probability at window mode m for input window mode i at V, unnormalized:
+    the product of the steps' :func:`_transport`, where each of the s steps
+    with a split slot is V A(1) + (1-V) A(0) and adds one grade."""
+    window = c.circuit.window.oam_labels
+    probs = np.eye(len(window))[None]  # [grade, key, input]
+    for step in c.steps:
+        kept = _transport(step, 1.0, throughput) @ probs
+        if "split" in step[0].noise_slots:
+            kept = np.concatenate([kept, np.zeros_like(kept[:1])])
+            kept[1:] += _transport(step, 0.0, throughput) @ probs
+        probs = kept
+    table = np.zeros((len(probs), len(window), len(window)))
+    for m, ell in enumerate(window):
+        if ell in c.outputs:
+            table[:, :, m] = probs[:, c.outputs[ell]]
+    table.flags.writeable = False
+    return table
 
 
 def _checked(circuit: OpticalCircuit, noise: NoiseParams | None = None) -> NoiseParams:
@@ -600,8 +597,8 @@ def correlation_matrix(
     onto each window mode j on the output path, and divide by the
     within-window total, so each row sums to one regardless of loss or
     out-of-window leakage.  The probabilities are one weighted sum of the
-    grades of :func:`_table`, built by one pass on first use at a
-    throughput, and at V = 1 and V = 0 single grades bit for bit.
+    grades of :func:`_table`, built once per throughput, and at V = 1 and
+    V = 0 single grades bit for bit.
     """
     noise = _checked(circuit, noise)
     table = _table(_compiled(circuit), float(noise.throughput))
@@ -622,13 +619,15 @@ def efficiency(
     E_i = matrix[i, expected[i]] / sum_j matrix[i, j]; accepts probability
     or count form.  Every expected column must be an integer in [0, d) and
     not a bool, every entry finite and non-negative and every row total
-    finite, and a zero row total leaves the efficiency undefined; each
-    raises ValueError.
+    finite, and a zero row total or a matrix without rows leaves the
+    efficiency undefined; each raises ValueError.
     """
     m = np.asarray(matrix, dtype=float)
     expected = list(expected)
     if m.ndim != 2 or m.shape[0] != len(expected):
         raise ValueError(f"expected permutation of length {m.shape[0]}, got {len(expected)}")
+    if not expected:
+        raise ValueError("efficiency undefined: the matrix has no rows")
     d = m.shape[1]
     for i, col in enumerate(expected):
         if isinstance(col, bool) or not isinstance(col, (int, np.integer)) or not 0 <= col < d:
@@ -813,7 +812,7 @@ def superposition_visibility(
     # the steps take every window mode; both inputs live on the last two
     psi = np.zeros((w.dim, 2), dtype=complex)
     psi[ins] = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    rho = _mix(c.steps, psi, ((noise.visibility, 0),), noise.throughput)[0]
+    rho = _mix(c.steps, psi, noise)
     a, b = (c.outputs[w.to_oam(i)] for i in outs)
     # <e|rho|e> / (rho_aa + rho_bb) is 1/2 + s cross for the expected outcome
     # |e> = (|a'> + s e^{i phi} |b'>)/sqrt(2) of input sign s = +1, -1

@@ -68,7 +68,7 @@ def apply_element(element, state, noise=IDEAL, *, split_sign=1, phase_sign=1):
     """One element on an amplitude map, on the noise branch that the signs
     select, as a new map.  Keys off the element's input paths pass through;
     exact zeros are dropped."""
-    factors = _noise_factors(noise.visibility, noise.visibility, noise.throughput)
+    factors = _noise_factors(noise.visibility, noise.throughput)
     factors = {name: complex(x) for name, x in factors.items()}
     weights = element.weights(factors, split_sign, phase_sign)
     out = {}
