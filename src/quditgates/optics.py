@@ -16,29 +16,30 @@ element.  At a sorter, an amplitude reaches the correct port with weight
 sqrt((1+V)/2) and leaks to the wrong port with weight sqrt((1-V)/2); at a
 recombiner the two arms pick up a relative phase whose cosine averages to
 V.  Both effects come from one internal phase error per element whose
-distribution satisfies E[cos] = V, E[sin] = 0.  Because every output
-probability is multilinear in (cos, sin) of each element phase, averaging
-over the 2^k two-point sign patterns (phase = +/- arccos V) equals the
-exact expectation: the model is sampled without Monte Carlo error.
-Detection probabilities are those averages.
+distribution satisfies E[cos] = V, E[sin] = 0.  Every output probability
+is multilinear in (cos, sin) of each element phase, so each weight factor
+enters only by its mean and mean square (:func:`_moments`): detection
+probabilities are exact expectations, without Monte Carlo error.
 
 Every result reads one compiled form.  A circuit is compiled once onto the
-(path, OAM label) keys reachable from its inputs, each noisy element
-becoming one Kraus pair (four operators for an ideal recombiner, which has
-two slots) and runs of noise-free elements folding into the next noisy
-one.  A batch of density operators goes through the steps in one pass,
-each mapping rho to the mean of K rho K^dagger over its operators, so the
-cost grows linearly with k.  At V=1 each step has a single operator, and
-their product is the ideal window transfer; :func:`propagate_branches`
-multiplies out the operators of every sign pattern.
+(path, OAM label) keys reachable from its inputs: each noisy element
+becomes one step of constant operators B_f, each carrying a product t_f of
+weight factors, and runs of noise-free elements fold into the next noisy
+one.  A batch of density operators goes through the steps in one pass, each
+mapping rho to sum_fg E[t_f conj(t_g)] B_f rho B_g^dagger, so the cost grows
+linearly with the number k of noise slots.  At V=1 the steps' mean
+operators sum_f E[t_f] B_f multiply to the ideal window transfer, and
+:func:`propagate_branches` lists the 2^k branches of the two-point phase
++/- arccos V, which has the same means.
 
 Basis inputs need no density operators: their histories part only at
 split slots, one keeping and one leaking, so no coherence survives and the
-window probabilities are a product of real matrices, one per step.  Over
-the s steps with a split slot each is sum_j V^(s-j) (1-V)^j P_j, P_j >= 0.
-Bounded caches keep the gate circuits, each circuit's compiled form and
-ideal transfer, and per throughput those P_j: a warm correlation matrix at
-any V is one weighted sum, and calibration solves E(V) = target on them.
+window probabilities are a product of real matrices, one per step, from
+the diagonal E|t_f|^2.  Over the s steps with a split slot each is
+sum_j V^(s-j) (1-V)^j P_j, P_j >= 0.  Bounded caches keep the gate
+circuits, each circuit's compiled form and ideal transfer, and per
+throughput those P_j: a warm correlation matrix at any V is one weighted
+sum, and calibration solves E(V) = target on them.
 
 Recombiners are "ideal" (a reversed sorter, lossless at V=1) or
 "lossy_pbs" (an unconditional merge at a constant loss, which row
@@ -51,7 +52,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -86,16 +86,17 @@ class CalibrationError(RuntimeError):
     """Raised when visibility calibration cannot reach the requested target."""
 
 
-def _noise_factors(visibility: float, throughput: float) -> dict:
-    """Weight factors of the all-plus noise branch at `visibility`: correct
-    port, wrong port, odd-arm phase and recombiner loss.  A minus split sign
-    negates "leak", a minus phase sign conjugates "arm"."""
-    return {
-        "keep": np.sqrt((1 + visibility) / 2),
-        "leak": 1j * np.sqrt((1 - visibility) / 2),
-        "arm": visibility + 1j * np.sqrt(1 - visibility * visibility),
-        "tau": math.sqrt(throughput),
-    }
+def _moments(v: float, throughput: float) -> tuple[dict, dict]:
+    """The mean E[t] and the mean square E|t|^2 of each weight factor t at
+    visibility `v`: correct port, wrong port (a random sign), odd-arm phase
+    (cos +/- i sin of the element's phase error) and recombiner loss."""
+    mean = {"keep": math.sqrt((1 + v) / 2), "leak": 0.0, "arm": v, "tau": math.sqrt(throughput)}
+    square = {"keep": (1 + v) / 2, "leak": (1 - v) / 2, "arm": 1.0, "tau": throughput}
+    return mean, square
+
+
+#: The random weight factor behind each noise slot, with its own sign per element.
+_SIGNED = {"split": "leak", "phase": "arm"}
 
 
 class _Element:
@@ -107,25 +108,17 @@ class _Element:
     names the first of the element's field rules it breaks, or is None.
     `routes(path, ell)` lists where an amplitude on an input path goes, each
     destination with the names of the weight factors it is multiplied by,
-    in order.  `weights(factors, split_sign, phase_sign)` gives those
-    factors' values on one noise branch from the noise's
-    :func:`_noise_factors`, and `noise_slots` names the element's random
-    signs ('split', 'phase').
+    in order: the noise's factors of :func:`_moments`, or the element's own
+    `constants`.  `noise_slots` names the element's random signs ('split',
+    'phase'; :data:`_SIGNED`).
     """
 
     noise_slots = ()
     outputs = ()
+    constants = {}
 
     def field_error(self):
         return None
-
-    def weights(self, factors, split_sign, phase_sign):
-        w = dict(factors)
-        if split_sign < 0:
-            w["leak"] = -w["leak"]
-        if phase_sign < 0:
-            w["arm"] = w["arm"].conjugate()
-        return w
 
 
 class _OnePath(_Element):
@@ -276,12 +269,17 @@ class PhaseShift(_OnePath):
         with contextlib.suppress(OverflowError):  # math.isfinite overflows on huge ints
             if not isinstance(phi, bool) and isinstance(phi, _REALS) and math.isfinite(phi):
                 return None
-        return f"phi must be a finite real number, got {phi!r}"
+        try:
+            shown = repr(phi)
+        except ValueError:  # an int past the digit limit of str conversion
+            shown = f"an integer of {phi.bit_length()} bits"
+        return f"phi must be a finite real number, got {shown}"
 
     def routes(self, path, ell):
         return (((path, ell), ("phase",)),)
 
-    def weights(self, factors, split_sign, phase_sign):
+    @property
+    def constants(self):
         return {"phase": complex(np.exp(1j * self.phi))}
 
 
@@ -369,7 +367,7 @@ def _check_input(circuit: OpticalCircuit, state: Amplitudes) -> tuple[list, np.n
 
 
 def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
-    """The Kraus steps of `circuit` on the (path, ell) keys reachable from
+    """The steps of `circuit` on the (path, ell) keys reachable from
     the input-path `labels`, and the final row of each output-path label.
 
     A step is (element, factors, basis): basis[f] is the (n_out, n_in)
@@ -408,7 +406,7 @@ def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
             add_step(e, routes)
             origin = identity = [(i, 1.0) for i in range(len(keys))]
         else:
-            w = e.weights({}, 1, 1)
+            w = e.constants
             origin = [
                 (src, c * math.prod(map(w.__getitem__, fs))) for src, _, c, fs in routes
             ]
@@ -430,7 +428,8 @@ class _Compiled:
     def transfer(self) -> np.ndarray:
         """T[i, j]: amplitude at output window mode i for input window mode
         j, with ideal noise and ideal (lossless) recombiners: the product of
-        the single V=1 Kraus operators of that circuit's compiled steps."""
+        the compiled steps' mean operators sum_f E[t_f] B_f at IDEAL, where
+        every weight factor is deterministic."""
         circuit, window = self.circuit, self.circuit.window.oam_labels
         elements = tuple(
             replace(e, mode="ideal") if isinstance(e, Recombiner) else e
@@ -438,7 +437,10 @@ class _Compiled:
         )
         # a fresh compile: the variant is needed once, so it stays out of the cache
         steps, outputs = _compile(replace(circuit, elements=elements), window)
-        amps = _branch_amplitudes(steps, np.eye(len(window)), IDEAL)[0]
+        mean = _moments(IDEAL.visibility, IDEAL.throughput)[0]
+        amps = np.eye(len(window))
+        for _, names, basis in steps:
+            amps = np.tensordot([math.prod(mean[n] for n in fs) for fs in names], basis, 1) @ amps
         transfer = np.zeros((circuit.dim, circuit.dim), dtype=complex)
         for i, ell in enumerate(window):
             if ell in outputs:
@@ -451,32 +453,17 @@ class _Compiled:
 _compiled = functools.lru_cache(maxsize=_CACHE_SIZE)(_Compiled)
 
 
-def _kraus(step: tuple, noise: NoiseParams) -> np.ndarray:
-    """ops[p]: the (n_out, n_in) Kraus operator of a compiled `step` on sign
-    pattern p of its element's noise slots, the first slot most significant,
-    at `noise` (:func:`_noise_factors`).  At V=1 every pattern gives the
-    same operator, so only the all-plus one is taken (the empty map, as
-    missing signs default to +1)."""
-    e, names, basis = step
-    factors = _noise_factors(noise.visibility, noise.throughput)
-    patterns = itertools.product((1, -1), repeat=len(e.noise_slots))
-    signs = [{}] if noise.visibility == 1.0 else [dict(zip(e.noise_slots, p)) for p in patterns]
-    ws = [e.weights(factors, s.get("split", 1), s.get("phase", 1)) for s in signs]
-    table = np.array([[math.prod(w[n] for n in fs) for w in ws] for fs in names], complex)
-    f, n_out, n_in = basis.shape
-    return (table.T @ basis.reshape(f, n_out * n_in)).reshape(len(ws), n_out, n_in)
+def _second_moments(names: list, v: float, throughput: float) -> np.ndarray:
+    """M[f, g] = E[t_f conj(t_g)] for the weight factor products t_f named by
+    `names[f]` of one compiled step at visibility `v` (:func:`_moments`).  A
+    step's random factors have independent signs and real means, so a factor
+    in both products enters by its mean square and one in either by its mean."""
+    mean, square = _moments(v, throughput)
 
+    def pair(f, g):
+        return math.prod(square[n] if n in f and n in g else mean[n] for n in dict.fromkeys(f + g))
 
-def _branch_amplitudes(steps: list, psi: np.ndarray, noise: NoiseParams) -> np.ndarray:
-    """out[p] = K_p psi for every sign pattern p of the steps' noise slots,
-    in :func:`_kraus` order: K_p is the product of the steps' Kraus
-    operators on that pattern, and each column of the (n_in, c) `psi` holds
-    the amplitudes of one input."""
-    amps = psi[None]
-    for step in steps:
-        ops = _kraus(step, noise)
-        amps = (ops[None] @ amps[:, None]).reshape(len(amps) * len(ops), -1, psi.shape[1])
-    return amps
+    return np.array([[pair(f, g) for g in names] for f in names])
 
 
 def propagate_branches(
@@ -487,38 +474,50 @@ def propagate_branches(
     """Every noise branch as (weight, output-path amplitudes); weights sum to 1.
 
     At V=1 there is a single branch.  Otherwise each of the k noise slots
-    takes both signs of its two-point phase distribution, the first slot
-    most significant in the order of the 2^k branches; averaging
-    probabilities over them is the exact expectation under the model.  Each
-    branch is the product of the compiled steps' Kraus operators on that
-    sign pattern applied to `state`, which lives on the input path, and
-    holds the nonzero amplitudes on the output path only.
+    gives its random factor (:data:`_SIGNED`) both values mean +/- i sqrt(mean
+    square - mean^2) of :func:`_moments`, the first slot most significant in
+    the order of the 2^k branches; averaging probabilities over them is the
+    exact expectation under the model.  Each branch is the product of the
+    compiled steps' operators on that sign pattern applied to `state`, which
+    lives on the input path, and holds the nonzero amplitudes on the output
+    path only.
     """
     noise = _checked(circuit, noise)
     labels, psi = _check_input(circuit, state)
     steps, outputs = _compile(circuit, labels)
-    amps = _branch_amplitudes(steps, psi[:, None], noise)[..., 0]
+    mean, square = _moments(noise.visibility, noise.throughput)
+    amps = psi[None, :, None]  # [branch, key, 1]
+    for e, names, basis in steps:
+        patterns = [mean]
+        for n in map(_SIGNED.get, e.noise_slots if noise.visibility != 1.0 else ()):
+            spread = 1j * math.sqrt(square[n] - mean[n] * mean[n])
+            patterns = [{**w, n: w[n] + s} for w in patterns for s in (spread, -spread)]
+        table = np.array([[math.prod(w[n] for n in fs) for fs in names] for w in patterns])
+        ops = np.tensordot(table, basis, 1)
+        amps = (ops[None] @ amps[:, None]).reshape(len(amps) * len(ops), -1, 1)
     out = circuit.output_path
     return [
         (1.0 / len(amps), {(out, ell): complex(a[i]) for ell, i in outputs.items() if a[i] != 0})
-        for a in amps
+        for a in amps[..., 0]
     ]
 
 
 def _mix(steps: list, psi: np.ndarray, noise: NoiseParams) -> np.ndarray:
     """The noise-averaged output density operators of the pure inputs held
     in the columns of the (n_in, batch) `psi`: `rhos[a, b, c]` is entry
-    (a, c) of input b's operator.  Each step maps rho to the mean of
-    K rho K^dagger over its Kraus operators K at `noise` (:func:`_kraus`)."""
+    (a, c) of input b's operator.  Each step maps rho to
+    sum_fg M[f, g] B_f rho B_g^dagger over its operators B_f = basis[f], with
+    M its :func:`_second_moments` at `noise`."""
     batch = psi.shape[1]
     rhos = psi[:, :, None] * psi.conj().T
-    for step in steps:
-        ops = _kraus(step, noise)
-        m, n_out, n_in = ops.shape
-        left = ops.reshape(m * n_out, n_in) @ rhos.reshape(n_in, batch * n_in)
+    for _, names, basis in steps:
+        m, n_out, n_in = basis.shape
+        left = basis.reshape(m * n_out, n_in) @ rhos.reshape(n_in, batch * n_in)
         left = left.reshape(m, n_out * batch, n_in).transpose(1, 0, 2)
-        ops_h = ops.conj().transpose(0, 2, 1).reshape(m * n_in, n_out) / m
-        rhos = (left.reshape(n_out * batch, m * n_in) @ ops_h).reshape(n_out, batch, n_out)
+        moments = _second_moments(names, noise.visibility, noise.throughput)
+        right = moments @ basis.conj().reshape(m, n_out * n_in)  # right[f] = sum_g M_fg B_g*
+        right = right.reshape(m, n_out, n_in).transpose(0, 2, 1).reshape(m * n_in, n_out)
+        rhos = (left.reshape(n_out * batch, m * n_in) @ right).reshape(n_out, batch, n_out)
     return rhos
 
 
@@ -528,9 +527,9 @@ def output_mode_probabilities(
     noise: NoiseParams = IDEAL,
 ) -> dict[int, float]:
     """Noise-averaged detection probabilities per OAM label on the output
-    path, from one density-operator pass through the compiled steps: the
-    weighted mean of |amplitude|^2 over the :func:`propagate_branches`
-    branches, without enumerating them."""
+    path, from one density-operator pass through the compiled steps
+    (:func:`_mix`): the exact expectation, equal to the weighted mean of
+    |amplitude|^2 over the :func:`propagate_branches` branches."""
     noise = _checked(circuit, noise)
     labels, psi = _check_input(circuit, state)
     steps, outputs = _compile(circuit, labels)
@@ -548,9 +547,8 @@ def _grades(v, k: int) -> np.ndarray:
 def _transport(step: tuple, v: float, throughput: float) -> np.ndarray:
     """A[dst, src]: the mean probability that a compiled `step` takes a basis
     input from key src to dst at visibility v, sum_f E|t_f|^2 |basis[f]|^2 with
-    the exact means (1+v)/2 (keep), (1-v)/2 (leak), 1 (arm), throughput (tau)."""
-    means = {"keep": (1 + v) / 2, "leak": (1 - v) / 2, "arm": 1.0, "tau": throughput}
-    weights = [math.prod(means[n] for n in fs) for fs in step[1]]
+    E|t_f|^2 the diagonal of the step's :func:`_second_moments`."""
+    weights = np.diag(_second_moments(step[1], v, throughput))
     return np.tensordot(weights, (step[2] * step[2].conj()).real, 1)
 
 

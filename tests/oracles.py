@@ -7,21 +7,22 @@ with step d + 1, and l >= d - a from d - a.  The library reads the same
 pattern from cached index tables.
 
 The per-amplitude optics engine: each element applied to a (path, OAM
-label) -> amplitude map through its `routes` and `weights`, one noise
-branch at a time, every branch of the 2^k sign patterns enumerated, and
-the ideal window transfer propagated one basis mode at a time.  The
-library compiles the circuit into Kraus steps instead and takes every
-result from them; this engine shares only the element definitions and
-the weight factors of the noise model with it.
+label) -> amplitude map through its `routes`, one noise branch at a time,
+with the weight factors' values on that branch written out here from the
+two-point phase distribution +/- arccos V; every branch of the 2^k sign
+patterns enumerated, and the ideal window transfer propagated one basis
+mode at a time.  The library compiles the circuit into steps instead and
+takes every result from the factors' means and mean squares; this engine
+shares only the element definitions with it.
 """
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from quditgates import IDEAL, Recombiner
-from quditgates.optics import _noise_factors
 
 
 def index_weyl(a, b, c, d):
@@ -64,13 +65,25 @@ def _add(state, key, amp):
         state[key] = new
 
 
+def branch_weights(element, noise, split_sign=1, phase_sign=1):
+    """The values of `element`'s weight factors on one noise branch: a minus
+    split sign negates the wrong-port leak, a minus phase sign conjugates the
+    odd-arm phase e^(i arccos V)."""
+    v = noise.visibility
+    return {
+        "keep": complex(math.sqrt((1 + v) / 2)),
+        "leak": split_sign * 1j * math.sqrt((1 - v) / 2),
+        "arm": complex(v, phase_sign * math.sqrt(1 - v * v)),
+        "tau": complex(math.sqrt(noise.throughput)),
+        **element.constants,
+    }
+
+
 def apply_element(element, state, noise=IDEAL, *, split_sign=1, phase_sign=1):
     """One element on an amplitude map, on the noise branch that the signs
     select, as a new map.  Keys off the element's input paths pass through;
     exact zeros are dropped."""
-    factors = _noise_factors(noise.visibility, noise.throughput)
-    factors = {name: complex(x) for name, x in factors.items()}
-    weights = element.weights(factors, split_sign, phase_sign)
+    weights = branch_weights(element, noise, split_sign, phase_sign)
     out = {}
     for key, amp in state.items():
         if key[0] not in element.inputs:

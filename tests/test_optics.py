@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 from dataclasses import FrozenInstanceError, replace
 
@@ -37,7 +39,13 @@ from quditgates import (
     superposition_visibility,
     trace_modes,
 )
-from oracles import apply_element, dict_transfer, enumerate_branches, total_probability
+from oracles import (
+    apply_element,
+    branch_weights,
+    dict_transfer,
+    enumerate_branches,
+    total_probability,
+)
 from strategies import WINDOW, random_circuits
 
 CAPTION_TUPLES = {
@@ -519,6 +527,11 @@ MERGE = Recombiner("even", "odd", "m")
         (
             (PhaseShift("in", 2**1024),),
             f"element 0: phi must be a finite real number, got {2**1024}",
+        ),
+        # and one past the digit limit of int-to-str conversion
+        (
+            (PhaseShift("in", 10**5000),),
+            "element 0: phi must be a finite real number, got an integer of 16610 bits",
         ),
     ],
 )
@@ -1130,6 +1143,28 @@ def test_basis_inputs_leave_the_mixture_pass_diagonal(circuit, v, throughput):
     for i in range(circuit.dim):
         rho = rhos[:, i]
         assert np.all(np.abs(rho - np.diag(np.diag(rho))) <= 1e-12)
+
+
+@settings(deadline=None)
+@given(random_circuits(min_slots=1), st.floats(0, 1), st.floats(0.01, 1))
+def test_step_moments_are_the_sign_pattern_means(circuit, v, throughput):
+    noise = NoiseParams(v, throughput)
+    # the transport's weights before they came from the moments table
+    squares = {"keep": (1 + v) / 2, "leak": (1 - v) / 2, "arm": 1.0, "tau": throughput}
+    for step in optics._Compiled(circuit).steps:
+        e, names, basis = step
+        moments = optics._second_moments(names, v, throughput)
+        want = np.zeros_like(moments, dtype=complex)
+        patterns = list(itertools.product((1, -1), repeat=len(e.noise_slots)))
+        for signs in patterns:
+            w = branch_weights(e, noise, **{f"{s}_sign": x for s, x in zip(e.noise_slots, signs)})
+            t = np.array([math.prod(w[n] for n in fs) for fs in names])
+            want += np.outer(t, t.conj()) / len(patterns)
+        assert np.all(np.abs(moments - want) <= 1e-15)
+        weights = [math.prod(squares[n] for n in fs) for fs in names]
+        assert np.array_equal(np.diag(moments), weights)
+        transport = np.tensordot(weights, (basis * basis.conj()).real, 1)
+        assert np.array_equal(optics._transport(step, v, throughput), transport)
 
 
 @settings(deadline=None)
