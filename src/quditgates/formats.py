@@ -9,7 +9,9 @@ Count CSV:        header "input\\output,-2,-1,0,1", one row per input label;
                   probabilities carry 6 decimal places, counts are integers.
 
 Serialization is canonical (fixed key order, two-space indent, trailing
-newline) so parse -> serialize round trips are byte-identical.
+newline) so parse -> serialize round trips are byte-identical.  The JSON
+writer reproduces ``json.dumps(obj, indent=2)`` byte for byte without
+``json``'s pure-Python encoder, which any indent forces.
 """
 
 from __future__ import annotations
@@ -36,8 +38,53 @@ class SchemaError(ValueError):
     """Raised for malformed files; the message names the offending field."""
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, pad: str) -> str:
+    """`obj` as ``json.dumps(obj, indent=2)`` writes it, nested under the
+    newline and indent `pad`: dicts with str keys, lists, tuples, str, int,
+    float, bool and None; any other type raises TypeError."""
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_string(key)}: {_json(value, inner)}")
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _json(obj, "\n") + "\n"
+
+
+def _loads(text: str, context: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{context}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer past the digit limit of str conversion
+        raise SchemaError(f"{context}: a number has too many digits ({exc})") from exc
+    except RecursionError:
+        raise SchemaError(f"{context}: arrays or objects nested too deeply") from None
 
 
 def _require(data: dict, field: str, kinds, context: str):
@@ -62,7 +109,12 @@ def _real_table(data: dict, field: str, d: int, context: str) -> list[list[float
         for value in row:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaError(f"{context}: field {field!r} contains a non-number")
-        table.append([float(v) for v in row])
+        try:
+            table.append([float(v) for v in row])
+        except OverflowError:
+            raise SchemaError(
+                f"{context}: field {field!r} row {r} holds an integer too large for a float"
+            ) from None
     return table
 
 
@@ -76,8 +128,8 @@ def _table_to_json(table: np.ndarray, keys: tuple[str, str], what: str) -> str:
     return _dumps(
         {
             "dim": int(m.shape[0]),
-            re: [[float(x) for x in row] for row in m.real],
-            im: [[float(x) for x in row] for row in m.imag],
+            re: m.real.tolist(),
+            im: m.imag.tolist(),
         }
     )
 
@@ -85,10 +137,7 @@ def _table_to_json(table: np.ndarray, keys: tuple[str, str], what: str) -> str:
 def _table_from_json(text: str, keys: tuple[str, str], context: str) -> np.ndarray:
     """Parse what :func:`_table_to_json` writes; the real and imaginary
     parts are set part by part so that signed zeros survive."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{context}: invalid JSON ({exc})") from exc
+    data = _loads(text, context)
     d = _require(data, "dim", int, context)
     if d < 1:
         raise SchemaError(f"{context}: field 'dim' must be positive")
@@ -195,10 +244,7 @@ def circuit_to_json(circuit: OpticalCircuit) -> str:
 
 def circuit_from_json(text: str) -> OpticalCircuit:
     """Parse and validate a circuit from the circuit description schema."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"circuit file: invalid JSON ({exc})") from exc
+    data = _loads(text, "circuit file")
     d = _require(data, "dim", int, "circuit file")
     offset = _require(data, "oam_offset", int, "circuit file")
     elements = _require(data, "elements", list, "circuit file")
@@ -225,12 +271,14 @@ def count_matrix_to_csv(matrix: np.ndarray, window: SubspaceMap) -> str:
     labels = window.oam_labels
     if m.shape != (window.dim, window.dim):
         raise ValueError(f"matrix shape {m.shape} does not match window {labels}")
-    _check_cells(m.astype(float), "count matrix")
-    integer = np.issubdtype(m.dtype, np.integer)
+    values = m.astype(float)
+    _check_cells(values, "count matrix")
+    if np.issubdtype(m.dtype, np.integer):
+        rows = [[str(v) for v in row] for row in m.tolist()]
+    else:
+        rows = [[f"{v:.6f}" for v in row] for row in values.tolist()]
     lines = [",".join([CSV_CORNER, *[str(l) for l in labels]])]
-    for i, row in enumerate(m):
-        cells = [str(int(v)) if integer else f"{float(v):.6f}" for v in row]
-        lines.append(",".join([str(labels[i]), *cells]))
+    lines += [",".join([str(label), *row]) for label, row in zip(labels, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -251,7 +299,7 @@ def count_matrix_from_csv(text: str) -> tuple[np.ndarray, SubspaceMap]:
         raise SchemaError("count file: header labels must be a contiguous window")
     if len(lines) != d + 1:
         raise SchemaError(f"count file: expected {d} data rows, got {len(lines) - 1}")
-    matrix = np.zeros((d, d))
+    rows = []
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != d + 1:
@@ -259,9 +307,10 @@ def count_matrix_from_csv(text: str) -> tuple[np.ndarray, SubspaceMap]:
         if cells[0] != str(labels[i]):
             raise SchemaError(f"count file: row {i} label mismatch")
         try:
-            matrix[i] = [float(c) for c in cells[1:]]
+            row = [float(c) for c in cells[1:]]
         except ValueError as exc:
             raise SchemaError(f"count file: row {i} contains a non-number") from exc
-        if not np.all(np.isfinite(matrix[i])) or np.any(matrix[i] < 0):
+        if not all(0 <= x < math.inf for x in row):  # False for NaN as well
             raise SchemaError(f"count file: row {i} has a negative or non-finite value")
-    return matrix, SubspaceMap(d, labels[0])
+        rows.append(row)
+    return np.array(rows), SubspaceMap(d, labels[0])

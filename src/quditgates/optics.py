@@ -53,6 +53,7 @@ import cmath
 import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -73,7 +74,7 @@ GATE_KINDS = tuple(_SHIFTS)
 #: a few windows and a few dozen cascades of them.
 _CACHE_SIZE = 64
 #: Visibilities of the calibration grid: V = 0, 0.1, ..., 1.
-_GRID = np.arange(11) / 10
+_GRID = tuple(i / 10 for i in range(11))
 #: Types a noise parameter may have (bool aside).
 _REALS = (int, float, np.integer, np.floating)
 
@@ -84,6 +85,15 @@ class CircuitError(ValueError):
 
 class CalibrationError(RuntimeError):
     """Raised when visibility calibration cannot reach the requested target."""
+
+
+def _shown(value, show=repr) -> str:
+    """`show(value)` for an error message, or the bit length of an int past
+    the digit limit of str conversion."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
 
 
 def _moments(v: float, throughput: float) -> tuple[dict, dict]:
@@ -269,11 +279,7 @@ class PhaseShift(_OnePath):
         with contextlib.suppress(OverflowError):  # math.isfinite overflows on huge ints
             if not isinstance(phi, bool) and isinstance(phi, _REALS) and math.isfinite(phi):
                 return None
-        try:
-            shown = repr(phi)
-        except ValueError:  # an int past the digit limit of str conversion
-            shown = f"an integer of {phi.bit_length()} bits"
-        return f"phi must be a finite real number, got {shown}"
+        return f"phi must be a finite real number, got {_shown(phi)}"
 
     def routes(self, path, ell):
         return (((path, ell), ("phase",)),)
@@ -302,9 +308,9 @@ class NoiseParams:
             if isinstance(value, bool) or not isinstance(value, _REALS):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
+            raise ValueError(f"visibility must lie in [0, 1], got {_shown(self.visibility, str)}")
         if not 0.0 < self.throughput <= 1.0:
-            raise ValueError(f"throughput must lie in (0, 1], got {self.throughput}")
+            raise ValueError(f"throughput must lie in (0, 1], got {_shown(self.throughput, str)}")
 
 
 #: Noise-free parameters (lossless recombination included).
@@ -832,39 +838,48 @@ def mean_gate_efficiency(
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _efficiency_curve(kind: str, throughput: float):
-    """The mean efficiency E(V) of gate `kind` in closed form, and its values
-    on the calibration grid `_GRID`.
+    """The mean efficiency E(V) of gate `kind` in closed form, and its
+    read-only values on the calibration grid `_GRID`.
 
     Per input row i, E_i(V) is N_i(V) / D_i(V), the expected column's entry
     over the row total, each a weighted sum of the grades of the gate
     circuit's :func:`_table` (single grades at V = 0 and V = 1); E(V) is
-    their mean.
+    their mean.  The grades are kept per row as Python floats, so E(V) at
+    one V costs a few float operations and no numpy call.
     """
     circuit = build_gate_circuit(kind, SubspaceMap(4, -2))
     table = _table(_compiled(circuit), throughput)
-    perm = expected_permutation(kind)
-    fit = np.stack([table[:, range(len(perm)), perm], table.sum(axis=2)])  # [N or D, grade, input]
+    k = len(table) - 1
+    rows = [  # (N_i, D_i) grades of each input row i
+        (table[:, i, col].tolist(), table[:, i].sum(axis=1).tolist())
+        for i, col in enumerate(expected_permutation(kind))
+    ]
 
     def curve(v):
-        num, den = _grades(v, len(table) - 1) @ fit
-        return (num / den).mean(axis=-1)
+        w = [v ** (k - j) * (1 - v) ** j for j in range(k + 1)]  # as _grades
+        total = 0.0
+        for num, den in rows:
+            total += sum(map(operator.mul, w, num)) / sum(map(operator.mul, w, den))
+        return total / len(rows)
 
-    grid = curve(_GRID)
+    grid = np.array([curve(v) for v in _GRID])
     grid.flags.writeable = False
     return curve, grid
 
 
-def _solve(curve, target: float, a: float, b: float) -> float:
+def _solve(curve, target: float, a: float, b: float, fa: float, fb: float):
     """V in [a, b] with curve(V) = target to about 1e-15, by regula falsi
-    (at most 100 steps); curve(a) < target <= curve(b)."""
-    fa, fb = curve(a) - target, curve(b) - target
+    (at most 100 steps), and its residual curve(V) - target; fa = curve(a) -
+    target < 0 <= fb = curve(b) - target, so neither end is evaluated."""
     for _ in range(100):
         v = min(max((a * fb - b * fa) / (fb - fa), a), b)
+        if v == a or v == b:  # no point of the bracket is left between its ends
+            return v, fa if v == a else fb
         f = curve(v) - target
-        if abs(f) <= 1e-15 or v in (a, b):
+        if abs(f) <= 1e-15:
             break
         a, fa, b, fb = (v, f, b, fb) if f < 0 else (a, fa, v, f)
-    return float(v)
+    return v, f
 
 
 def calibrate_visibility(
@@ -884,34 +899,42 @@ def calibrate_visibility(
 
     The search runs on the closed form of :func:`_efficiency_curve`, built
     once per (kind, throughput): it solves E(V) = target to rounding inside
-    the grid cell that brackets the target, and raises CalibrationError if
-    the root it finds misses the target by more than `tol`.
+    the grid cell that brackets the target, starting from the cached grid
+    values at the cell's ends, and raises CalibrationError if the root it
+    finds misses the target by more than `tol`.
     """
     target = target_mean_efficiency
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    try:
+        eps = float(tol) if 0 <= tol < math.inf else None
+    except OverflowError:  # an int past the float range
+        eps = None
+    if eps is None:
+        raise ValueError(f"tol must be finite and non-negative, got {_shown(tol, str)}")
     if isinstance(target, bool) or not isinstance(target, _REALS):
         raise ValueError(f"target_mean_efficiency must be a real number, got {target!r}")
     if not 0.25 < target <= 1.0:
-        raise CalibrationError(f"target mean efficiency must lie in (0.25, 1], got {target}")
+        raise CalibrationError(
+            f"target mean efficiency must lie in (0.25, 1], got {_shown(target, str)}"
+        )
     _shift(kind)
     NoiseParams(1.0, throughput)  # validates the throughput
-    curve, values = _efficiency_curve(kind, float(throughput))
-    if np.any(values[1:] < values[:-1] - 1e-12):
+    curve, grid = _efficiency_curve(kind, float(throughput))
+    values, t = grid.tolist(), float(target)
+    if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
         raise CalibrationError("mean efficiency is not monotone in visibility")
     lo_eff, hi_eff = values[0], values[-1]
-    if not lo_eff - tol <= target <= hi_eff + tol:
+    if not lo_eff - eps <= t <= hi_eff + eps:
         raise CalibrationError(
             f"target {target} unreachable; achievable mean "
             f"efficiency range is [{lo_eff:.4f}, {hi_eff:.4f}]"
         )
     for v_exact, e_exact in ((1.0, hi_eff), (0.0, lo_eff)):
-        if abs(e_exact - target) <= tol:
+        if abs(e_exact - t) <= eps:
             return NoiseParams(v_exact, throughput)
     # the target now lies strictly between values[0] and values[-1]
-    j = int(np.argmax(values >= target))
-    v = _solve(curve, target, _GRID[j - 1], _GRID[j])
-    if not abs(curve(v) - target) <= tol:
+    j = next(j for j, e in enumerate(values) if e >= t)
+    v, residual = _solve(curve, t, _GRID[j - 1], _GRID[j], values[j - 1] - t, values[j] - t)
+    if not abs(residual) <= eps:
         raise CalibrationError(f"calibration failed to reach target {target} within {tol}")
     return NoiseParams(v, throughput)
 
@@ -938,7 +961,9 @@ def monte_carlo_counts(
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if shots_per_input > 2**63 - 1:
-        raise ValueError(f"shots_per_input must be at most 2**63 - 1, got {shots_per_input}")
+        raise ValueError(
+            f"shots_per_input must be at most 2**63 - 1, got {_shown(shots_per_input, str)}"
+        )
     totals = _row_totals(m, "probability matrix", "row {} is not a probability distribution")
     counts = np.zeros(m.shape, dtype=np.int64)
     for i, (row, total) in enumerate(zip(m, totals)):

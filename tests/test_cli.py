@@ -12,6 +12,8 @@ from quditgates import make_x, make_y, make_z, gate_power
 from quditgates.cli import main
 from quditgates.formats import matrix_from_json, matrix_to_json
 
+DATA = Path(__file__).parent / "data"
+
 
 @pytest.fixture()
 def runner():
@@ -163,6 +165,24 @@ def test_synth_missing_file_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 1, "re": [[1%s]], "im": [[0]]}' % ("0" * 400),  # overflows a float
+        '{"dim": 1, "re": [[1%s]], "im": [[0]]}' % ("0" * 5000),  # past json's digit limit
+        "[" * 100_000,
+    ],
+    ids=["400_digits", "5000_digits", "deep"],
+)
+def test_synth_oversized_input_exits_3(runner, tmp_path, text):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["synth", "decompose", "--in", str(path)])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: matrix file: ")
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_synth_non_finite_matrix_exits_4(runner, tmp_path):
     path = tmp_path / "inf.json"
     path.write_text(
@@ -203,6 +223,15 @@ def test_sim_sampled_counts_reproducible(runner):
     assert first.stdout == second.stdout
     counts = np.array(json.loads(first.stdout)["counts"])
     assert counts.sum() == 4000
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("gate", ["X", "X2", "Xdg"])
+def test_sim_output_matches_the_golden_files(runner, gate, fmt):
+    result = runner.invoke(main, ["sim", "--gate", gate, "--visibility", "0.9", "--shots",
+                                  "1000", "--seed", "7", "--format", fmt])
+    assert result.exit_code == 0
+    assert result.stdout == (DATA / f"sim_{gate}_v0.9_shots1000_seed7.{fmt}").read_text()
 
 
 def test_sim_csv_output(runner):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import typing
 from pathlib import Path
@@ -266,11 +267,100 @@ def test_stored_reference_fixture_parses():
     assert np.allclose(matrix.sum(axis=1), 10_000)
 
 
-@pytest.mark.parametrize("cell", ["-5", "nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("cell", ["-5", "nan", "inf", "-inf", "NaN", "1e400", "+inf"])
 def test_count_csv_rejects_negative_and_non_finite_cells(cell):
     text = f"{CSV_CORNER},-2,-1\n-2,1,0\n-1,{cell},3\n"
     with pytest.raises(SchemaError, match="row 1 has a negative or non-finite"):
         count_matrix_from_csv(text)
+
+
+def test_count_csv_reports_a_bad_row_before_a_later_short_row():
+    text = f"{CSV_CORNER},-2,-1\n-2,-1,0\n-1,3\n"
+    message = "count file: row 0 has a negative or non-finite value"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        count_matrix_from_csv(text)
+
+
+def test_count_csv_reads_a_negative_zero_cell_as_zero():
+    matrix, _ = count_matrix_from_csv(f"{CSV_CORNER},-2,-1\n-2,-0,1\n-1,2,3\n")
+    assert np.array_equal(matrix, [[0.0, 1.0], [2.0, 3.0]])
+    assert matrix.dtype == float
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (
+            matrix_from_json,
+            '{"dim": 1, "re": [[1%s]], "im": [[0]]}' % ("0" * 400),
+            "matrix file: field 're' row 0 holds an integer too large for a float",
+        ),
+        (
+            coefficients_from_json,
+            '{"dim": 2, "h_re": [[0, 0], [0, 0]], "h_im": [[0, 0], [0, -1%s]]}' % ("0" * 400),
+            "coefficient file: field 'h_im' row 1 holds an integer too large for a float",
+        ),
+        (matrix_from_json, '{"dim": 1%s}' % ("0" * 5000), "matrix file: a number has too many digits"),
+        (
+            coefficients_from_json,
+            '{"h_re": [[1%s]]}' % ("0" * 5000),
+            "coefficient file: a number has too many digits",
+        ),
+        (
+            circuit_from_json,
+            '{"dim": 4, "oam_offset": -1%s}' % ("0" * 5000),
+            "circuit file: a number has too many digits",
+        ),
+        (circuit_from_json, "[" * 100_000, "circuit file: arrays or objects nested too deeply"),
+    ],
+    ids=[
+        "matrix_400", "coefficients_400", "matrix_5000", "coefficients_5000", "circuit_5000",
+        "circuit_deep",
+    ],
+)
+def test_json_readers_give_oversized_input_a_schema_error(load, text, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
+        load(text)
+
+
+# --- the JSON writer ----------------------------------------------------------
+
+_STRINGS = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\ud800\udfff'),
+    max_size=8,
+)
+_JSON_LEAVES = (
+    _STRINGS
+    | st.integers()
+    | st.integers(-(2**300), 2**300)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308])
+    | st.sampled_from([True, False, None])
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_STRINGS, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_JSON_TREES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}, [[]]], "": ""})
+@example([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 2**64, -1, "\ud800\"\\"])
+def test_json_writer_is_byte_identical_to_json_dumps(obj):
+    assert formats._dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [np.int64(1), {1, 2}, [b"x"], {"a": object()}])
+def test_json_writer_raises_type_error_where_json_does(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        formats._dumps(obj)
 
 
 @pytest.mark.parametrize("phi", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])

@@ -342,7 +342,7 @@ def test_calibrate_visibility_reports_achievable_range():
         calibrate_visibility("X", 0.4)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-4])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-4, np.float32(np.inf)])
 def test_calibrate_visibility_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be finite and non-negative"):
         calibrate_visibility("X", 0.873, tol=tol)
@@ -590,6 +590,50 @@ def test_calibration_keeps_the_range_error_for_real_targets(target):
 def test_calibration_takes_integer_and_numpy_targets():
     assert calibrate_visibility("X", 1) == NoiseParams(1.0, 0.5)
     assert calibrate_visibility("X", np.float64(0.873)) == calibrate_visibility("X", 0.873)
+
+
+HUGE = 10**5000  # past the digit limit of int-to-str conversion
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: calibrate_visibility("X", HUGE),
+            CalibrationError,
+            "target mean efficiency must lie in (0.25, 1], got an integer of 16610 bits",
+        ),
+        (
+            lambda: calibrate_visibility("X", 0.9, throughput=HUGE),
+            ValueError,
+            "throughput must lie in (0, 1], got an integer of 16610 bits",
+        ),
+        (
+            lambda: calibrate_visibility("X", 0.9, tol=HUGE),
+            ValueError,
+            "tol must be finite and non-negative, got an integer of 16610 bits",
+        ),
+        (
+            lambda: NoiseParams(HUGE, 0.5),
+            ValueError,
+            "visibility must lie in [0, 1], got an integer of 16610 bits",
+        ),
+        (
+            lambda: NoiseParams(0.5, -HUGE),
+            ValueError,
+            "throughput must lie in (0, 1], got an integer of 16610 bits",
+        ),
+        (
+            lambda: monte_carlo_counts(np.full((4, 4), 0.25), HUGE, 1),
+            ValueError,
+            "shots_per_input must be at most 2**63 - 1, got an integer of 16610 bits",
+        ),
+    ],
+    ids=["target", "throughput", "tol", "visibility", "noise_throughput", "shots"],
+)
+def test_huge_integers_get_each_entry_points_named_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_calibration_rejects_a_bool_throughput():
@@ -992,6 +1036,27 @@ def test_efficiency_curve_is_the_mean_gate_efficiency(kind, throughput):
     assert np.all(np.abs(curve(vs) - want) <= 1e-12)
     assert np.all(np.abs(grid - want[::10]) <= 1e-12)
     assert grid[-1] == mean_gate_efficiency(kind, NoiseParams(1.0, throughput)) == 1.0
+
+
+@pytest.mark.parametrize("tol", [1e-4, 0.0])
+@pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
+def test_calibration_never_evaluates_the_curve_at_a_grid_point(monkeypatch, kind, tol):
+    # the solve starts from the cached grid values, and the tolerance check
+    # reads the residual of its last step
+    curve, grid = optics._efficiency_curve(kind, 0.5)
+    calls = []
+
+    def spy(v):
+        calls.append(v)
+        return curve(v)
+
+    monkeypatch.setattr(optics, "_efficiency_curve", lambda *_: (spy, grid))
+    for target in (0.751, 0.8, 0.825, 0.85, 0.873, 0.884, 0.904, 0.925, 0.95, 0.999):
+        try:
+            calibrate_visibility(kind, target, tol=tol)
+        except CalibrationError:  # at tol = 0 the root may miss the target by rounding
+            pass
+    assert calls and not set(calls) & set(optics._GRID)
 
 
 @pytest.mark.parametrize("jump", [1 / 3, 0.4], ids=["inside_a_cell", "on_a_grid_point"])
