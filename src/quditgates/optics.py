@@ -39,7 +39,9 @@ the diagonal E|t_f|^2.  Over the s steps with a split slot each is
 sum_j V^(s-j) (1-V)^j P_j, P_j >= 0.  Bounded caches keep the gate
 circuits, each circuit's compiled form and ideal transfer, and per
 throughput those P_j: a warm correlation matrix at any V is one weighted
-sum, and calibration solves E(V) = target on them.
+sum.  Each gate's mean efficiency E(V) is affine in V, so calibration
+reads V off the line through E(0) and E(1) and checks it with one
+evaluation of E.
 
 Recombiners are "ideal" (a reversed sorter, lossless at V=1) or
 "lossy_pbs" (an unconditional merge at a constant loss, which row
@@ -73,8 +75,6 @@ GATE_KINDS = tuple(_SHIFTS)
 #: Entries of each compiled-form cache: room for the three gate circuits on
 #: a few windows and a few dozen cascades of them.
 _CACHE_SIZE = 64
-#: Visibilities of the calibration grid: V = 0, 0.1, ..., 1.
-_GRID = tuple(i / 10 for i in range(11))
 #: Types a noise parameter may have (bool aside).
 _REALS = (int, float, np.integer, np.floating)
 
@@ -356,19 +356,30 @@ class OpticalCircuit:
 
 
 def _check_input(circuit: OpticalCircuit, state: Amplitudes) -> tuple[list, np.ndarray]:
-    """The OAM labels and the amplitude vector of an input map.  A key off
-    the input path raises CircuitError; a label that is not an integer and
-    an amplitude that is not finite raise ValueError."""
+    """The OAM labels and the amplitude vector of an input map.  A state
+    that is not a dict raises TypeError; a key off the input path raises
+    CircuitError; a key that is not a (path, label) pair, a label that is
+    not an integer and an amplitude that is not a finite number raise
+    ValueError."""
+    if not isinstance(state, dict):
+        raise TypeError(f"input state must be a dict, got {type(state).__name__}")
     labels = []
-    for (path, ell), amp in state.items():
+    for key, amp in state.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ValueError(f"input key {_shown(key)} is not a (path, OAM label) pair")
+        path, ell = key
         if path != circuit.input_path:
             raise CircuitError(
                 f"input amplitudes must live on {circuit.input_path!r}, "
                 f"found path {path!r}"
             )
         labels.append(_check_integer(ell, "OAM label"))
-        if not cmath.isfinite(amp):
-            raise ValueError(f"input amplitude at {(path, ell)!r} is {amp}, not finite")
+        try:
+            finite = cmath.isfinite(amp)
+        except (TypeError, OverflowError):  # not a number, or an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"input amplitude at {key!r} is {_shown(amp, str)}, not finite")
     return labels, np.array(list(state.values()), dtype=complex)
 
 
@@ -838,8 +849,8 @@ def mean_gate_efficiency(
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _efficiency_curve(kind: str, throughput: float):
-    """The mean efficiency E(V) of gate `kind` in closed form, and its
-    read-only values on the calibration grid `_GRID`.
+    """The mean efficiency E(V) of gate `kind` in closed form, and its ends
+    E(0) and E(1).
 
     Per input row i, E_i(V) is N_i(V) / D_i(V), the expected column's entry
     over the row total, each a weighted sum of the grades of the gate
@@ -862,24 +873,7 @@ def _efficiency_curve(kind: str, throughput: float):
             total += sum(map(operator.mul, w, num)) / sum(map(operator.mul, w, den))
         return total / len(rows)
 
-    grid = np.array([curve(v) for v in _GRID])
-    grid.flags.writeable = False
-    return curve, grid
-
-
-def _solve(curve, target: float, a: float, b: float, fa: float, fb: float):
-    """V in [a, b] with curve(V) = target to about 1e-15, by regula falsi
-    (at most 100 steps), and its residual curve(V) - target; fa = curve(a) -
-    target < 0 <= fb = curve(b) - target, so neither end is evaluated."""
-    for _ in range(100):
-        v = min(max((a * fb - b * fa) / (fb - fa), a), b)
-        if v == a or v == b:  # no point of the bracket is left between its ends
-            return v, fa if v == a else fb
-        f = curve(v) - target
-        if abs(f) <= 1e-15:
-            break
-        a, fa, b, fb = (v, f, b, fb) if f < 0 else (a, fa, v, f)
-    return v, f
+    return curve, curve(0.0), curve(1.0)
 
 
 def calibrate_visibility(
@@ -891,23 +885,23 @@ def calibrate_visibility(
 ) -> NoiseParams:
     """The visibility V at which the simulated mean efficiency hits the target.
 
-    The target must lie in (0.25, 1] and `tol` must be finite and
-    non-negative.  Mean efficiency is checked to be monotone non-decreasing
-    over V in {0, 0.1, ..., 1.0} before searching; targets outside the
-    achievable range raise CalibrationError naming it, and a target within
-    `tol` of the value at V = 1 (else V = 0) returns that endpoint.
+    The target must lie in (0.25, 1] and `tol` must be a finite non-negative
+    real number.  Mean efficiency must not fall from V = 0 to V = 1; targets
+    outside the achievable range [E(0), E(1)] raise CalibrationError naming
+    it, and a target within `tol` of E(1) (else E(0)) returns that endpoint.
 
-    The search runs on the closed form of :func:`_efficiency_curve`, built
-    once per (kind, throughput): it solves E(V) = target to rounding inside
-    the grid cell that brackets the target, starting from the cached grid
-    values at the cell's ends, and raises CalibrationError if the root it
-    finds misses the target by more than `tol`.
+    The ends come from :func:`_efficiency_curve`, built once per (kind,
+    throughput).  Every gate's E(V) is affine in V: each input row of its
+    two-grade table keeps its total across the grades or is nonzero only in
+    the expected column.  So V is read off the line through E(0) and E(1),
+    and one evaluation of E at that V checks it: a miss by more than `tol`
+    raises CalibrationError.
     """
     target = target_mean_efficiency
-    try:
-        eps = float(tol) if 0 <= tol < math.inf else None
-    except OverflowError:  # an int past the float range
-        eps = None
+    eps = None
+    if not isinstance(tol, bool) and isinstance(tol, _REALS) and 0 <= tol < math.inf:
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            eps = float(tol)
     if eps is None:
         raise ValueError(f"tol must be finite and non-negative, got {_shown(tol, str)}")
     if isinstance(target, bool) or not isinstance(target, _REALS):
@@ -918,11 +912,10 @@ def calibrate_visibility(
         )
     _shift(kind)
     NoiseParams(1.0, throughput)  # validates the throughput
-    curve, grid = _efficiency_curve(kind, float(throughput))
-    values, t = grid.tolist(), float(target)
-    if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
+    curve, lo_eff, hi_eff = _efficiency_curve(kind, float(throughput))
+    t = float(target)
+    if hi_eff < lo_eff:
         raise CalibrationError("mean efficiency is not monotone in visibility")
-    lo_eff, hi_eff = values[0], values[-1]
     if not lo_eff - eps <= t <= hi_eff + eps:
         raise CalibrationError(
             f"target {target} unreachable; achievable mean "
@@ -931,10 +924,9 @@ def calibrate_visibility(
     for v_exact, e_exact in ((1.0, hi_eff), (0.0, lo_eff)):
         if abs(e_exact - t) <= eps:
             return NoiseParams(v_exact, throughput)
-    # the target now lies strictly between values[0] and values[-1]
-    j = next(j for j, e in enumerate(values) if e >= t)
-    v, residual = _solve(curve, t, _GRID[j - 1], _GRID[j], values[j - 1] - t, values[j] - t)
-    if not abs(residual) <= eps:
+    # the target now lies strictly between E(0) and E(1), so 0 < v <= 1
+    v = (t - lo_eff) / (hi_eff - lo_eff)
+    if not abs(curve(v) - t) <= eps:
         raise CalibrationError(f"calibration failed to reach target {target} within {tol}")
     return NoiseParams(v, throughput)
 

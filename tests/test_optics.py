@@ -196,12 +196,20 @@ def test_propagate_requires_input_path_support():
         ({("in", np.float64(1)): 1.0}, "OAM label must be an integer, got np.float64"),
         ({("in", True): 1.0}, "OAM label must be an integer, got True"),
         ({("in", "1"): 1.0}, "OAM label must be an integer, got '1'"),
+        ({"in": 1.0}, r"input key 'in' is not a \(path, OAM label\) pair"),
+        ({("in", 0, 1): 1.0}, r"input key \('in', 0, 1\) is not a \(path, OAM label\) pair"),
+        ({("in", 0): "a"}, r"input amplitude at \('in', 0\) is a, not finite"),
+        ({("in", 0): None}, r"input amplitude at \('in', 0\) is None, not finite"),
+        ({("in", 0): 10**400}, r"input amplitude at \('in', 0\) is 10{400}, not finite"),
+        ({("in", 0): 10**5000}, r"at \('in', 0\) is an integer of 16610 bits, not finite"),
+        ([(("in", 0), 1.0)], "input state must be a dict, got list"),
     ],
 )
 def test_amplitude_map_inputs_are_checked(state, message):
     circuit = build_gate_circuit("X", WINDOW)
+    error = ValueError if isinstance(state, dict) else TypeError
     for call in (propagate_branches, output_mode_probabilities):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             call(circuit, state, NoiseParams(0.8, 0.5))
 
 
@@ -342,7 +350,17 @@ def test_calibrate_visibility_reports_achievable_range():
         calibrate_visibility("X", 0.4)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-4, np.float32(np.inf)])
+@pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
+def test_calibration_reaches_a_target_within_tol_below_the_range(kind):
+    # E(0) = 0.75, so a target up to tol below it returns V = 0
+    assert calibrate_visibility(kind, 0.75 - 5e-5, tol=1e-4).visibility == 0.0
+    with pytest.raises(CalibrationError, match=r"unreachable.*\[0.7500, 1.0000\]"):
+        calibrate_visibility(kind, 0.75 - 2e-4, tol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "tol", [float("nan"), float("inf"), -1e-4, np.float32(np.inf), True, "1e-4", None, [1]]
+)
 def test_calibrate_visibility_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be finite and non-negative"):
         calibrate_visibility("X", 0.873, tol=tol)
@@ -1030,61 +1048,74 @@ def test_calibration_returns_the_exact_root(kind, target, root):
 @pytest.mark.parametrize("throughput", [0.05, 0.5, 1.0])
 @pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
 def test_efficiency_curve_is_the_mean_gate_efficiency(kind, throughput):
-    curve, grid = optics._efficiency_curve(kind, throughput)
+    curve, lo_eff, hi_eff = optics._efficiency_curve(kind, throughput)
     vs = np.linspace(0, 1, 101)
     want = [mean_gate_efficiency(kind, NoiseParams(v, throughput)) for v in vs]
     assert np.all(np.abs(curve(vs) - want) <= 1e-12)
-    assert np.all(np.abs(grid - want[::10]) <= 1e-12)
-    assert grid[-1] == mean_gate_efficiency(kind, NoiseParams(1.0, throughput)) == 1.0
+    assert lo_eff == want[0] == 0.75
+    assert hi_eff == mean_gate_efficiency(kind, NoiseParams(1.0, throughput)) == 1.0
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(["X", "X2", "Xdagger"]),
+    st.floats(1e-300, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_every_gate_efficiency_is_on_the_line_through_its_ends(kind, throughput, v):
+    # each input row of the gate's two-grade table keeps its total across the
+    # grades or is nonzero only in the expected column, so each row's
+    # efficiency, and their mean, is affine in V; below about 4e-308 the
+    # halved grade entries are subnormal and round
+    table = optics._table(optics._compiled(build_gate_circuit(kind, WINDOW)), throughput)
+    assert len(table) == 2
+    for i, col in enumerate(expected_permutation(kind)):
+        totals = table[:, i].sum(axis=1)
+        assert totals[0] == totals[1] or not np.delete(table[:, i], col, axis=1).any()
+    ends = [mean_gate_efficiency(kind, NoiseParams(x, throughput)) for x in (0.0, 1.0)]
+    assert ends == [0.75, 1.0]
+    line = ends[0] + v * (ends[1] - ends[0])
+    assert abs(mean_gate_efficiency(kind, NoiseParams(v, throughput)) - line) <= 1e-15
 
 
 @pytest.mark.parametrize("tol", [1e-4, 0.0])
 @pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
 def test_calibration_never_evaluates_the_curve_at_a_grid_point(monkeypatch, kind, tol):
-    # the solve starts from the cached grid values, and the tolerance check
-    # reads the residual of its last step
-    curve, grid = optics._efficiency_curve(kind, 0.5)
+    # the ends E(0) and E(1) are cached, so an interior target costs one
+    # evaluation: the residual check at the returned V
+    curve, lo_eff, hi_eff = optics._efficiency_curve(kind, 0.5)
     calls = []
 
     def spy(v):
         calls.append(v)
         return curve(v)
 
-    monkeypatch.setattr(optics, "_efficiency_curve", lambda *_: (spy, grid))
+    monkeypatch.setattr(optics, "_efficiency_curve", lambda *_: (spy, lo_eff, hi_eff))
     for target in (0.751, 0.8, 0.825, 0.85, 0.873, 0.884, 0.904, 0.925, 0.95, 0.999):
+        calls.clear()
         try:
-            calibrate_visibility(kind, target, tol=tol)
+            v = calibrate_visibility(kind, target, tol=tol).visibility
         except CalibrationError:  # at tol = 0 the root may miss the target by rounding
-            pass
-    assert calls and not set(calls) & set(optics._GRID)
+            assert tol == 0.0 and len(calls) == 1 and 0 < calls[0] < 1
+        else:
+            assert calls == [v] and 0 < v < 1
 
 
-@pytest.mark.parametrize("jump", [1 / 3, 0.4], ids=["inside_a_cell", "on_a_grid_point"])
-def test_calibration_raises_when_the_curve_misses_the_target(monkeypatch, jump):
-    # efficiency steps from 0.5 to 1 at V = jump, so the root search closes
-    # in on the jump without ever coming within tol of the target 0.75
-    calls = []
-
-    def step(v):
-        calls.append(v)
-        return np.where(np.asarray(v) < jump, 0.5, 1.0)
-
-    grid = step(optics._GRID)
-    calls.clear()
-    monkeypatch.setattr(optics, "_efficiency_curve", lambda *_: (step, grid))
-    with pytest.raises(CalibrationError, match="failed to reach target 0.75 within 0.0001"):
-        calibrate_visibility("X", 0.75)
-    assert all(0.3 <= v <= 0.4 for v in calls) and len(calls) <= 103
+def _step(jump):
+    return lambda v: np.where(np.asarray(v) < jump, 0.5, 1.0)
 
 
-def test_calibration_solves_a_curved_efficiency_to_rounding(monkeypatch):
-    def curve(v):
-        return 0.75 + 0.25 * np.asarray(v) ** 4
-
-    monkeypatch.setattr(optics, "_efficiency_curve", lambda *_: (curve, curve(optics._GRID)))
-    noise = calibrate_visibility("X", 0.8, tol=1e-4)
-    assert abs(curve(noise.visibility) - 0.8) <= 1e-15
-    assert noise.visibility == pytest.approx(0.2**0.25, abs=1e-14)
+@pytest.mark.parametrize(
+    "curve, target",
+    [(_step(0.4), 0.75), (_step(0.6), 0.75), (lambda v: 0.75 + 0.25 * np.asarray(v) ** 4, 0.8)],
+    ids=["jump_before_the_root", "jump_after_the_root", "quartic"],
+)
+def test_calibration_raises_when_the_curve_misses_the_target(monkeypatch, curve, target):
+    # V is read off the line through the ends, so an efficiency that is not
+    # affine in V misses the target there by more than tol
+    monkeypatch.setattr(optics, "_efficiency_curve", lambda *_: (curve, curve(0.0), curve(1.0)))
+    with pytest.raises(CalibrationError, match=f"failed to reach target {target} within 0.0001"):
+        calibrate_visibility("X", target)
 
 
 @settings(deadline=None, max_examples=60)
@@ -1308,9 +1339,8 @@ def test_callers_cannot_change_a_cached_result():
         matrix[:] = 0.0
         assert np.array_equal(correlation_matrix(circuit, noise), want)
     entry = optics._compiled(circuit)
-    _, grid = optics._efficiency_curve("X", 0.5)
     table = optics._table(entry, 0.5)
-    for array in [entry.transfer, grid, table] + [basis for _, _, basis in entry.steps]:
+    for array in [entry.transfer, table] + [basis for _, _, basis in entry.steps]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -1534,5 +1564,5 @@ def reference_grades(v, k):
 )
 def test_grade_weights_equal_the_integer_power_reference(v, k):
     assert np.array_equal(optics._grades(v, k), reference_grades(v, k))
-    grid = np.append(optics._GRID, v)
+    grid = np.append([i / 10 for i in range(11)], v)
     assert np.array_equal(optics._grades(grid, k), reference_grades(grid, k))
