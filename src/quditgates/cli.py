@@ -73,11 +73,16 @@ def _verify_round_trip(err: float) -> None:
 
 @contextmanager
 def _dense_dim(dim: int):
-    """Turn a failed allocation of the dense dim x dim matrices into exit 4."""
+    """Exit 4 for a dense dim x dim complex matrix that cannot be allocated:
+    at once when it is past numpy's array size limit, else when its
+    allocation fails."""
+    message = f"--dim {dim}: a {dim}x{dim} matrix does not fit in memory"
+    if dim * dim * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        _fail(EXIT_NUMERIC, message)
     try:
         yield
     except MemoryError:
-        _fail(EXIT_NUMERIC, f"--dim {dim}: a {dim}x{dim} matrix does not fit in memory")
+        _fail(EXIT_NUMERIC, message)
 
 
 def _not_nan(ctx, param, value: float) -> float:

@@ -61,7 +61,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import SubspaceMap, _check_integer, check_dim, require_finite, shift_clock
+from .pauli import (
+    _REALS,
+    SubspaceMap,
+    _check_integer,
+    _shown,
+    check_dim,
+    require_finite,
+    shift_clock,
+)
 
 #: Amplitude map: (path, OAM label) -> complex amplitude.
 Amplitudes = dict[tuple[str, int], complex]
@@ -75,8 +83,6 @@ GATE_KINDS = tuple(_SHIFTS)
 #: Entries of each compiled-form cache: room for the three gate circuits on
 #: a few windows and a few dozen cascades of them.
 _CACHE_SIZE = 64
-#: Types a noise parameter may have (bool aside).
-_REALS = (int, float, np.integer, np.floating)
 
 
 class CircuitError(ValueError):
@@ -85,15 +91,6 @@ class CircuitError(ValueError):
 
 class CalibrationError(RuntimeError):
     """Raised when visibility calibration cannot reach the requested target."""
-
-
-def _shown(value, show=repr) -> str:
-    """`show(value)` for an error message, or the bit length of an int past
-    the digit limit of str conversion."""
-    try:
-        return show(value)
-    except ValueError:
-        return f"an integer of {value.bit_length()} bits"
 
 
 def _moments(v: float, throughput: float) -> tuple[dict, dict]:

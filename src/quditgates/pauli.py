@@ -10,17 +10,19 @@ integer power the same way; every other matrix takes the general dense
 matrix power.
 
 All values are plain complex numpy arrays, immutable by convention; every
-function is pure.  The only shared state is the read-only per-dimension
-tables (:class:`_PerDimension`), built on first use, never at import, and
-kept within a byte budget: :data:`_tables` holds 16*d^2 + 32*d bytes per
+function is pure.  The shared state is the read-only per-dimension tables
+(:class:`_PerDimension`), built on first use, never at import, and kept
+within a byte budget: :data:`_tables` holds 16*d^2 + 32*d bytes per
 dimension, one d x d complex matrix's worth (17 KiB at d = 32), and no
-dimension whose tables exceed the budget is kept.  So everything here is
-safe to share across threads.
+dimension whose tables exceed the budget is kept.  :func:`gate_power` also
+keeps its last match (:data:`_last_match`) in one tuple that it replaces
+whole.  So everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import threading
 from collections import OrderedDict
@@ -33,6 +35,8 @@ ATOL = 1e-12
 
 #: Bytes of per-dimension tables (:class:`_PerDimension`) kept across calls.
 _TABLE_BYTES = 16 * 2**20
+#: Types a real-valued argument such as a tolerance may have (bool aside).
+_REALS = (int, float, np.integer, np.floating)
 
 
 def check_dim(d: int) -> int:
@@ -53,6 +57,25 @@ def _check_integer(n: int, what: str = "power") -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {n!r}")
     return int(n)
+
+
+def _shown(value, show=repr) -> str:
+    """`show(value)` for an error message, or the bit length of an int past
+    the digit limit of str conversion."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
+def _check_atol(atol: float) -> float:
+    """`atol` as a float; ValueError unless it is a finite, non-negative real
+    number that is not a bool."""
+    if not isinstance(atol, bool) and isinstance(atol, _REALS):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            if 0 <= float(atol) < math.inf:
+                return float(atol)
+    raise ValueError(f"atol must be finite and non-negative, got {_shown(atol, str)}")
 
 
 #: Every kept per-dimension table, oldest first: (id(cache), d) -> (cache, bytes).
@@ -109,6 +132,10 @@ def _weyl(a: int, b: int, c: int, d: int) -> np.ndarray:
     roots2, expo, place = _tables[d]
     out[place[a]] = roots2[c:][expo[b]]
     return out.reshape(d, d)
+
+
+#: (dtype, bytes, _weyl_exponents) of gate_power's last g of <= _TABLE_BYTES bytes.
+_last_match: tuple = (None, None, None)
 
 
 def _weyl_exponents(g: np.ndarray) -> tuple[int, int] | None:
@@ -206,12 +233,21 @@ def gate_power(g: np.ndarray, n: int) -> np.ndarray:
     the identity.  Every other matrix takes the general matrix power by
     repeated squaring, whose rounding grows with log|n|.  A g that is not a
     square 2-D matrix, or (on the general path) has a NaN or infinite
-    entry, raises ValueError.
+    entry, raises ValueError.  The last g of at most _TABLE_BYTES bytes is
+    remembered with its exponents by dtype and bytes (equal bytes, equal
+    matrix) in one tuple replaced whole, so raising one matrix to many
+    powers recognizes it once, and threads may share the memo.
     """
+    global _last_match
     n = _check_integer(n)
     g = np.asarray(g)
     _require_square(g)
-    exponents = _weyl_exponents(g)
+    dtype, data, exponents = _last_match
+    if g.nbytes > _TABLE_BYTES:
+        exponents = _weyl_exponents(g)
+    elif (key := g.tobytes()) != data or g.dtype != dtype:
+        exponents = _weyl_exponents(g)
+        _last_match = g.dtype, key, exponents
     if exponents is not None:
         a, b = exponents
         return _weyl(a * n, b * n, a * b * (n * (n - 1) // 2), g.shape[0])
@@ -254,7 +290,9 @@ def basis_state(d: int, j: int) -> np.ndarray:
 
 def is_unitary(g: np.ndarray, atol: float = ATOL) -> bool:
     """True when conj(g).T @ g is the identity within `atol` (Frobenius);
-    ValueError unless g is a square matrix."""
+    ValueError unless g is a square matrix and `atol` a finite,
+    non-negative real."""
+    atol = _check_atol(atol)
     g = np.asarray(g)
     _require_square(g)
     return bool(np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) <= atol)
@@ -262,7 +300,9 @@ def is_unitary(g: np.ndarray, atol: float = ATOL) -> bool:
 
 def is_hermitian(g: np.ndarray, atol: float = ATOL) -> bool:
     """True when g equals its conjugate transpose within `atol` (Frobenius);
-    ValueError unless g is a square matrix."""
+    ValueError unless g is a square matrix and `atol` a finite,
+    non-negative real."""
+    atol = _check_atol(atol)
     g = np.asarray(g)
     _require_square(g)
     return bool(np.linalg.norm(g - g.conj().T) <= atol)

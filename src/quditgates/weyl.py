@@ -16,7 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import ATOL, _check_integer, _PerDimension, _tables, _weyl, check_dim, dagger
+from .pauli import (
+    ATOL,
+    _check_atol,
+    _check_integer,
+    _PerDimension,
+    _tables,
+    _weyl,
+    check_dim,
+    dagger,
+)
 
 #: Mixing constant for the Hermitian basis.
 CHI = (1 + 1j) / 2
@@ -92,11 +101,15 @@ def exp_i_hermitian(a: np.ndarray, atol: float = ATOL) -> np.ndarray:
 
     A is symmetrized as (A + A^dagger)/2 before diagonalizing to guard
     against accumulated rounding; inputs further than `atol` (Frobenius)
-    from Hermitian are rejected.
+    from Hermitian are rejected, and so are NaN or infinite entries and an
+    `atol` that is not a finite, non-negative real.
     """
+    atol = _check_atol(atol)
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"generator must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("generator contains non-finite entries")
     if np.linalg.norm(a - a.conj().T) > atol:
         raise ValueError("invalid generator: matrix is not Hermitian")
     sym = (a + a.conj().T) / 2

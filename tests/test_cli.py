@@ -126,6 +126,19 @@ def test_dimension_too_large_to_allocate_exits_4(runner, args):
     assert result.stderr.startswith("error: --dim 10000000:")
 
 
+@pytest.mark.parametrize("dim", ["1000000000", "10000000000", str(2**62)])
+@pytest.mark.parametrize("args", [
+    ["gates", "--gate", "X"],
+    ["gates", "--gate", "Y", "--power", "3"],
+    ["synth", "random-unitary"],
+])
+def test_dimension_past_the_array_size_limit_exits_4(runner, args, dim):
+    # numpy refuses these sizes with a ValueError rather than a MemoryError
+    result = runner.invoke(main, [*args, "--dim", dim])
+    assert result.exit_code == 4
+    assert result.stderr == f"error: --dim {dim}: a {dim}x{dim} matrix does not fit in memory\n"
+
+
 def test_too_large_dimension_fails_before_allocating_index_vectors():
     # a 10^7-entry index vector and its (l + a) % d temporaries take ~80 MB
     # when they come before the dense matrix that cannot be allocated

@@ -46,7 +46,7 @@ from oracles import (
     enumerate_branches,
     total_probability,
 )
-from strategies import WINDOW, random_circuits
+from strategies import WINDOW, random_circuits, window_circuits
 
 CAPTION_TUPLES = {
     "X": (-1, 0, 1, -2),
@@ -734,19 +734,9 @@ def test_mixture_matches_branch_enumeration(circuit, state, v, throughput):
 
 
 @settings(deadline=None)
-@given(random_circuits(), st.floats(0, 1), st.floats(0.01, 1))
+@given(window_circuits(), st.floats(0, 1), st.floats(0.01, 1))
 def test_correlation_rows_are_distributions_for_every_visibility(circuit, v, throughput):
-    noise = NoiseParams(v, throughput)
-    try:
-        matrix = correlation_matrix(circuit, noise)
-    except CircuitError:
-        # then some window input must really leave nothing in the window
-        totals = []
-        for i in WINDOW.oam_labels:
-            probs = enumerated_probabilities(circuit, {("in", i): 1.0}, noise)
-            totals.append(sum(probs.get(ell, 0.0) for ell in WINDOW.oam_labels))
-        assert min(totals) <= 1e-12
-        return
+    matrix = correlation_matrix(circuit, NoiseParams(v, throughput))
     assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12)
     assert np.all(matrix >= 0)
 
@@ -1134,23 +1124,24 @@ def test_calibration_sweep_matches_sequential_bisection(kind, target, throughput
 # --- compiled-form cache -----------------------------------------------------
 
 
-@settings(deadline=None)
-@given(random_circuits(), st.floats(0, 1), st.floats(0.01, 1))
-def test_cached_correlation_equals_a_fresh_compile(circuit, v, throughput):
-    noise = NoiseParams(v, throughput)
+def fresh_correlation(circuit, noise):
+    """correlation_matrix from a fresh compiled form, whose table is built
+    anew the same way, or its CircuitError."""
     with pytest.MonkeyPatch.context() as fresh:
-        # a fresh compiled form, whose table is built anew the same way
         fresh.setattr(optics, "_compiled", optics._Compiled)
         try:
-            want = correlation_matrix(circuit, noise)
-        except CircuitError:
-            want = None
+            return correlation_matrix(circuit, noise)
+        except CircuitError as exc:
+            return exc
+
+
+@settings(deadline=None)
+@given(window_circuits(), st.floats(0, 1), st.floats(0.01, 1))
+def test_cached_correlation_equals_a_fresh_compile(circuit, v, throughput):
+    noise = NoiseParams(v, throughput)
+    want = fresh_correlation(circuit, noise)
     for _ in range(2):  # the second call reads the cache
-        if want is None:
-            with pytest.raises(CircuitError):
-                correlation_matrix(circuit, noise)
-        else:
-            assert np.array_equal(correlation_matrix(circuit, noise), want)
+        assert np.array_equal(correlation_matrix(circuit, noise), want)
 
 
 def sorter_arms_merged(output_path):
@@ -1211,22 +1202,38 @@ def transport_window_probs(c, v, throughput):
 
 
 @settings(deadline=None)
-@given(random_circuits(min_slots=1), VISIBILITIES, st.floats(0.01, 1))
+@given(window_circuits(min_slots=1), VISIBILITIES, st.floats(0.01, 1))
 @example(LEAKY, 1 - 1e-6, 0.5)
 @example(SPLIT, 1 - 1e-16, 0.5)
 @example(TWO_LOSSES, 0.7, 0.2)
 def test_table_correlation_matches_a_fresh_mixture_pass(circuit, v, throughput):
     noise = NoiseParams(v, throughput)
     probs = mixture_window_probs(optics._Compiled(circuit), noise)
-    totals = probs.sum(axis=1, keepdims=True)
-    try:
-        matrix = correlation_matrix(circuit, noise)
-    except CircuitError:
-        assert (totals <= 0).any()
-        return
-    assert np.all(np.abs(matrix - probs / totals) <= 1e-12)
+    matrix = correlation_matrix(circuit, noise)
+    assert np.all(np.abs(matrix - probs / probs.sum(axis=1, keepdims=True)) <= 1e-12)
     assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12)
     assert np.all(matrix >= 0)
+
+
+@settings(deadline=None)
+@given(random_circuits(), VISIBILITIES, st.floats(0.01, 1))
+def test_correlation_errors_mean_an_input_misses_the_window(circuit, v, throughput):
+    # most random_circuits() draws leave some window input outside the window
+    noise = NoiseParams(v, throughput)
+    want = fresh_correlation(circuit, noise)
+    if not isinstance(want, CircuitError):  # some reach it only through leaks at V < 1
+        assert np.array_equal(correlation_matrix(circuit, noise), want)
+        return
+    for _ in range(2):  # the second call reads the cache
+        with pytest.raises(CircuitError, match=f"^{re.escape(str(want))}$"):
+            correlation_matrix(circuit, noise)
+    # then some window input must really leave nothing in the window
+    assert (mixture_window_probs(optics._Compiled(circuit), noise).sum(axis=1) <= 0).any()
+    totals = []
+    for i in WINDOW.oam_labels:
+        probs = enumerated_probabilities(circuit, {("in", i): 1.0}, noise)
+        totals.append(sum(probs.get(ell, 0.0) for ell in WINDOW.oam_labels))
+    assert min(totals) <= 1e-12
 
 
 @settings(deadline=None)

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from quditgates import (
 from quditgates import pauli, weyl
 
 from oracles import index_weyl
+from strategies import BAD_ATOLS
 
 np_rng = np.random.default_rng(20240901)
 
@@ -393,6 +395,113 @@ def test_no_dimension_over_the_table_budget_stays_cached(monkeypatch):
         clear_tables()
 
 
+# --- the remembered last match of gate_power -----------------------------------
+
+
+def unremembered_power(g, n):
+    """gate_power as it runs with nothing remembered: recognition on every call."""
+    g = np.asarray(g)
+    exponents = pauli._weyl_exponents(g)
+    if exponents is not None:
+        a, b = exponents
+        return pauli._weyl(a * n, b * n, a * b * (n * (n - 1) // 2), g.shape[0])
+    h = np.asarray(g, dtype=complex)
+    if n < 0:
+        return np.linalg.matrix_power(dagger(h), -n)
+    return np.linalg.matrix_power(h, n)
+
+
+def test_a_matrix_changed_in_place_is_recognized_afresh():
+    g = make_x(4)
+    dense = np_rng.normal(size=(4, 4))
+    for n in (-3, 2, 5):
+        g[...] = make_x(4)
+        assert np.array_equal(gate_power(g, n), shift_clock(n, 0, 4))
+        g[...] = dense  # X turned into a dense matrix
+        assert np.array_equal(gate_power(g, n), general_power(dense, n))
+        g[...] = make_x(4)  # and back
+        assert np.array_equal(gate_power(g, n), shift_clock(n, 0, 4))
+
+
+def test_equal_bytes_of_another_dtype_are_recognized_afresh():
+    x = make_x(2)
+    same_bytes = np.frombuffer(x.tobytes(), dtype=np.int8).reshape(8, 8)
+    assert x.nbytes == same_bytes.nbytes == 64
+    assert np.array_equal(gate_power(x, 3), shift_clock(3, 0, 2))
+    assert np.array_equal(gate_power(same_bytes, 3), general_power(same_bytes.astype(float), 3))
+    assert np.array_equal(gate_power(x, 3), shift_clock(3, 0, 2))
+
+
+def strided_views():
+    """(view, whether it is exactly some X^a Z^b): non-contiguous views."""
+    x, y = make_x(6), make_y(5)
+    wide = np.zeros((5, 10), dtype=complex)
+    wide[:, ::2] = y
+    dense = np_rng.normal(size=(5, 5))
+    yield x.T, True  # X^-1
+    yield x[::-1, ::-1], True  # X^-1 as well
+    yield np.asfortranarray(y), True
+    yield wide[:, ::2], True
+    yield y.T, False  # Z X^-1 = omega X^-1 Z
+    yield dense.T, False
+    yield dense[::-1], False
+
+
+@pytest.mark.parametrize("view, exact", list(strided_views()))
+def test_views_give_the_unremembered_result(view, exact):
+    assert not view.flags.c_contiguous
+    assert (pauli._weyl_exponents(view) is not None) == exact
+    for n in (-4, -1, 0, 1, 3, 9):
+        gate_power(np.ascontiguousarray(view), 1)  # the same bytes remembered
+        assert gate_power(view, n).tobytes() == unremembered_power(view, n).tobytes()
+        gate_power(np.eye(2), 1)  # other bytes remembered
+        assert gate_power(view, n).tobytes() == unremembered_power(view, n).tobytes()
+
+
+def test_a_matrix_over_the_table_budget_is_not_remembered(monkeypatch):
+    monkeypatch.setattr(pauli, "_TABLE_BYTES", 1000)
+    small, big = make_x(7), make_z(8)  # 784 and 1024 bytes
+    try:
+        assert np.array_equal(gate_power(small, 2), shift_clock(2, 0, 7))
+        remembered = pauli._last_match
+        assert remembered[1] == small.tobytes()
+        for n in (2, 3):
+            assert np.array_equal(gate_power(big, n), shift_clock(0, n, 8))
+            assert pauli._last_match is remembered
+    finally:
+        clear_tables()
+
+
+def test_threads_raising_different_gates_get_exact_powers():
+    gates = [(5, 1, 2), (16, 3, 7), (27, 0, 1), (32, 5, 5)]  # (d, a, b)
+    exact = {}
+
+    def raise_powers(d, a, b):
+        g = shift_clock(a, b, d)
+        powers = range(-100, 100)
+        exact[d] = [np.array_equal(gate_power(g, n), weyl_power_oracle(d, a, b, n)) for n in powers]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=raise_powers, args=abc) for abc in gates]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(all(exact[d]) and len(exact[d]) == 200 for d, _, _ in gates)
+
+
+def test_every_power_in_the_sweep_is_byte_identical_to_the_unremembered_one():
+    for d in range(2, 65):
+        for g in (make_x(d), make_z(d), make_y(d)):
+            for n in range(-2 * d, 2 * d + 1):
+                assert gate_power(g, n).tobytes() == unremembered_power(g, n).tobytes()
+
+
 @pytest.mark.parametrize("call, args, message", [
     (basis_state, (4, True), "basis index must be an integer, got True"),
     (basis_state, (4, False), "basis index must be an integer, got False"),
@@ -433,6 +542,21 @@ def test_gate_power_rejects_non_finite_entries(cell, n, i, j):
 def test_unitary_and_hermitian_checks_reject_non_square_input(check, shape):
     with pytest.raises(ValueError, match=re.escape(f"must be a square matrix, got shape {shape}")):
         check(np.ones(shape))
+
+
+@pytest.mark.parametrize("check", [is_unitary, is_hermitian])
+@pytest.mark.parametrize("atol, shown", BAD_ATOLS)
+def test_unitary_and_hermitian_checks_reject_bad_tolerance(check, atol, shown):
+    # atol=True was read as 1.0 and passed a matrix 0.3 from unitary
+    message = f"atol must be finite and non-negative, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(np.diag([1.0, 1.3]), atol)
+
+
+@pytest.mark.parametrize("atol", [0, 0.0, 1, np.int8(0), np.float32(0.5), 10**300])
+def test_unitary_and_hermitian_checks_take_any_finite_non_negative_real(atol):
+    assert is_unitary(make_x(3), atol) and is_hermitian(np.eye(3), atol)
+    assert is_unitary(np.diag([1.0, 1.3]), atol) == (atol >= 1.3**2 - 1)
 
 
 @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, complex(0, np.nan)])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from quditgates import (
 )
 
 from oracles import index_decompose, index_reconstruct, index_weyl_operator
+from strategies import BAD_ATOLS
 
 np_rng = np.random.default_rng(20240902)
 
@@ -181,6 +184,22 @@ def test_exp_i_hermitian_inverse_property():
 def test_exp_i_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="[Hh]ermitian"):
         exp_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_exp_i_hermitian_rejects_non_finite_generators(cell):
+    a = np.zeros((3, 3), dtype=complex)
+    a[1, 1] = cell
+    with pytest.raises(ValueError, match="^generator contains non-finite entries$"):
+        exp_i_hermitian(a)
+
+
+@pytest.mark.parametrize("atol, shown", BAD_ATOLS)
+def test_exp_i_hermitian_rejects_bad_tolerance(atol, shown):
+    # a NaN atol let a non-Hermitian generator through
+    message = f"atol must be finite and non-negative, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        exp_i_hermitian(np.array([[0, 1.0], [0, 0]]), atol=atol)
 
 
 def test_decompose_basis_elements():
