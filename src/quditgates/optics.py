@@ -36,12 +36,12 @@ Basis inputs need no density operators: their histories part only at
 split slots, one keeping and one leaking, so no coherence survives and the
 window probabilities are a product of real matrices, one per step, from
 the diagonal E|t_f|^2.  Over the s steps with a split slot each is
-sum_j V^(s-j) (1-V)^j P_j, P_j >= 0.  Bounded caches keep the gate
-circuits, each circuit's compiled form and ideal transfer, and per
-throughput those P_j: a warm correlation matrix at any V is one weighted
-sum.  Each gate's mean efficiency E(V) is affine in V, so calibration
-reads V off the line through E(0) and E(1) and checks it with one
-evaluation of E.
+sum_j V^(s-j) (1-V)^j P_j, P_j >= 0, graded again by the lossy merges a
+history crosses.  Bounded caches keep the gate circuits, each circuit's
+compiled form, ideal transfer and those P_j: a warm correlation matrix at
+any V and throughput is one weighted sum.  Each gate's mean efficiency
+E(V) is affine in V, so calibration reads V off the line through E(0) and
+E(1) and checks it with one evaluation of E.
 
 Recombiners are "ideal" (a reversed sorter, lossless at V=1) or
 "lossy_pbs" (an unconditional merge at a constant loss, which row
@@ -432,7 +432,7 @@ def _compile(circuit: OpticalCircuit, labels) -> tuple[list, dict[int, int]]:
 
 class _Compiled:
     """A circuit compiled for its window labels (:func:`_compile`), with its
-    ideal window transfer worked out on first use; both are read-only."""
+    ideal window transfer and window table worked out on first use; all are read-only."""
 
     def __init__(self, circuit: OpticalCircuit) -> None:
         self.circuit = circuit
@@ -461,6 +461,33 @@ class _Compiled:
                 transfer[i] = amps[outputs[ell]]
         transfer.flags.writeable = False
         return transfer
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """P[j, q, i, m]: summed with weights V^(s-j) (1-V)^j (:func:`_grades`)
+        and thr^q, the unnormalized probability at window mode m for input i.
+        In the product of the steps' :func:`_transport`, a split slot's V A(1) +
+        (1-V) A(0) adds a grade j, a lossy merge's A(0) + thr (A(1) - A(0)) a
+        grade q; only the q grades from the fewest merges to the most are kept."""
+        window = self.circuit.window.oam_labels
+        probs = np.eye(len(window))[None, None]  # [j, q, key, input]
+        for step in self.steps:
+            kept = _transport(step, 1.0, 0.0) @ probs
+            if "split" in step[0].noise_slots:
+                kept = np.concatenate([kept, np.zeros_like(kept[:1])])
+                kept[1:] += _transport(step, 0.0, 0.0) @ probs
+            elif any("tau" in fs for fs in step[1]):
+                kept = np.concatenate([kept, np.zeros_like(kept[:, :1])], axis=1)
+                kept[:, 1:] += (_transport(step, 1.0, 1.0) - _transport(step, 1.0, 0.0)) @ probs
+            probs = kept
+        table = np.zeros((*probs.shape[:2], len(window), len(window)))
+        for m, ell in enumerate(window):
+            if ell in self.outputs:
+                table[..., m] = probs[:, :, self.outputs[ell]]
+        used = np.flatnonzero(table.any(axis=(0, 2, 3))) if table.any() else [0]
+        table = np.ascontiguousarray(table[:, used[0] : used[-1] + 1])
+        table.flags.writeable = False
+        return table
 
 
 #: The cached :class:`_Compiled` of a circuit (every circuit is hashable).
@@ -566,29 +593,6 @@ def _transport(step: tuple, v: float, throughput: float) -> np.ndarray:
     return np.tensordot(weights, (step[2] * step[2].conj()).real, 1)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _table(c: _Compiled, throughput: float) -> np.ndarray:
-    """The read-only P[j, i, m] of the compiled circuit `c` at `throughput`,
-    whose sum over j weighted by V^(s-j) (1-V)^j (:func:`_grades`) is the
-    probability at window mode m for input window mode i at V, unnormalized:
-    the product of the steps' :func:`_transport`, where each of the s steps
-    with a split slot is V A(1) + (1-V) A(0) and adds one grade."""
-    window = c.circuit.window.oam_labels
-    probs = np.eye(len(window))[None]  # [grade, key, input]
-    for step in c.steps:
-        kept = _transport(step, 1.0, throughput) @ probs
-        if "split" in step[0].noise_slots:
-            kept = np.concatenate([kept, np.zeros_like(kept[:1])])
-            kept[1:] += _transport(step, 0.0, throughput) @ probs
-        probs = kept
-    table = np.zeros((len(probs), len(window), len(window)))
-    for m, ell in enumerate(window):
-        if ell in c.outputs:
-            table[:, :, m] = probs[:, c.outputs[ell]]
-    table.flags.writeable = False
-    return table
-
-
 def _checked(circuit: OpticalCircuit, noise: NoiseParams | None = None) -> NoiseParams:
     """`noise`, or NoiseParams() for None; TypeError naming an argument that
     is not an OpticalCircuit or NoiseParams."""
@@ -609,17 +613,20 @@ def correlation_matrix(
     onto each window mode j on the output path, and divide by the
     within-window total, so each row sums to one regardless of loss or
     out-of-window leakage.  The probabilities are one weighted sum of the
-    grades of :func:`_table`, built once per throughput, and at V = 1 and
-    V = 0 single grades bit for bit.
+    grades of the circuit's window table, at V = 1 and V = 0 single grades
+    bit for bit, and q merges past a row's fewest at V weigh thr^q.
     """
     noise = _checked(circuit, noise)
-    table = _table(_compiled(circuit), float(noise.throughput))
+    table = _compiled(circuit).table
     k = len(table) - 1
     probs = (_grades(noise.visibility, k) @ table.reshape(k + 1, -1)).reshape(table.shape[1:])
-    totals = probs.sum(axis=1, keepdims=True)
+    if len(probs) > 1:  # rows whose histories cross different numbers of lossy merges
+        q = np.arange(len(probs))[:, None] - probs.any(axis=2).argmax(axis=0)  # [q, i]
+        probs[0] = np.einsum("qi,qim->im", float(noise.throughput) ** np.maximum(q, 0), probs)
+    totals = probs[0].sum(axis=1, keepdims=True)
     if not totals.min() > 0:  # no total is negative, so argmin is the first zero row
         raise CircuitError(f"no amplitude reaches the window for input {np.argmin(totals)}")
-    return probs / totals
+    return probs[0] / totals
 
 
 def efficiency(
@@ -804,8 +811,8 @@ def superposition_visibility(
     input signs.  1.0 for the ideal circuit, 0.5 when the sorter visibility
     is zero (phases scrambled).  Raises CircuitError if either input mode
     does not map onto a single window mode, or no amplitude of the noisy
-    circuit reaches it.  The coherences are not polynomials in V, so this
-    takes a density-operator pass of its own.
+    circuit reaches it or only an underflowing one.  The coherences are not
+    polynomials in V, so this takes a density-operator pass of its own.
     """
     noise = _checked(circuit, noise)
     w = circuit.window
@@ -828,7 +835,10 @@ def superposition_visibility(
     a, b = (c.outputs[w.to_oam(i)] for i in outs)
     # <e|rho|e> / (rho_aa + rho_bb) is 1/2 + s cross for the expected outcome
     # |e> = (|a'> + s e^{i phi} |b'>)/sqrt(2) of input sign s = +1, -1
-    cross = (phase * rho[a, :, b]).real / (rho[a, :, a] + rho[b, :, b]).real
+    norm = (rho[a, :, a] + rho[b, :, b]).real
+    if not norm.min() >= np.finfo(float).tiny:  # subnormals have lost their digits
+        raise CircuitError(f"the superposition output underflows at throughput {noise.throughput}")
+    cross = (phase * rho[a, :, b]).real / norm
     return float(0.5 + (cross[0] - cross[1]) / 2)
 
 
@@ -845,18 +855,18 @@ def mean_gate_efficiency(
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _efficiency_curve(kind: str, throughput: float):
+def _efficiency_curve(kind: str):
     """The mean efficiency E(V) of gate `kind` in closed form, and its ends
-    E(0) and E(1).
+    E(0) and E(1), at every throughput.
 
     Per input row i, E_i(V) is N_i(V) / D_i(V), the expected column's entry
     over the row total, each a weighted sum of the grades of the gate
-    circuit's :func:`_table` (single grades at V = 0 and V = 1); E(V) is
-    their mean.  The grades are kept per row as Python floats, so E(V) at
-    one V costs a few float operations and no numpy call.
+    circuit's one-merge window table (single grades at V = 0 and V = 1);
+    E(V) is their mean.  The grades are kept per row as Python floats, so
+    E(V) at one V costs a few float operations and no numpy call.
     """
     circuit = build_gate_circuit(kind, SubspaceMap(4, -2))
-    table = _table(_compiled(circuit), throughput)
+    table = _compiled(circuit).table[:, 0]
     k = len(table) - 1
     rows = [  # (N_i, D_i) grades of each input row i
         (table[:, i, col].tolist(), table[:, i].sum(axis=1).tolist())
@@ -887,8 +897,8 @@ def calibrate_visibility(
     outside the achievable range [E(0), E(1)] raise CalibrationError naming
     it, and a target within `tol` of E(1) (else E(0)) returns that endpoint.
 
-    The ends come from :func:`_efficiency_curve`, built once per (kind,
-    throughput).  Every gate's E(V) is affine in V: each input row of its
+    The ends come from :func:`_efficiency_curve`, built once per kind for
+    every throughput.  Every gate's E(V) is affine in V: each input row of its
     two-grade table keeps its total across the grades or is nonzero only in
     the expected column.  So V is read off the line through E(0) and E(1),
     and one evaluation of E at that V checks it: a miss by more than `tol`
@@ -909,7 +919,7 @@ def calibrate_visibility(
         )
     _shift(kind)
     NoiseParams(1.0, throughput)  # validates the throughput
-    curve, lo_eff, hi_eff = _efficiency_curve(kind, float(throughput))
+    curve, lo_eff, hi_eff = _efficiency_curve(kind)
     t = float(target)
     if hi_eff < lo_eff:
         raise CalibrationError("mean efficiency is not monotone in visibility")

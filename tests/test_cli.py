@@ -141,14 +141,17 @@ def test_dimension_past_the_array_size_limit_exits_4(runner, args, dim):
 
 def test_too_large_dimension_fails_before_allocating_index_vectors():
     # a 10^7-entry index vector and its (l + a) % d temporaries take ~80 MB
-    # when they come before the dense matrix that cannot be allocated
+    # when they come before the dense matrix that cannot be allocated; the
+    # child reads its own peak, VmHWM, since ru_maxrss also counts the memory
+    # of the test process it was forked from
     code = (
-        "import resource, sys\n"
         "from quditgates.cli import main\n"
         "try:\n"
         "    main(['gates', '--gate', 'X', '--dim', '10000000'])\n"
         "except SystemExit as exc:\n"
-        "    print(exc.code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+        "    print(exc.code, peak)\n"
     )
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 from dataclasses import FrozenInstanceError, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -271,10 +272,13 @@ def test_correlation_rows_normalized(kind, v):
 
 
 def test_correlation_invariant_under_throughput():
-    circuit = build_gate_circuit("X", WINDOW)
-    a = correlation_matrix(circuit, NoiseParams(0.7, 0.5))
-    b = correlation_matrix(circuit, NoiseParams(0.7, 1.0))
-    assert np.allclose(a, b, atol=1e-12)
+    # every history of a gate circuit crosses one lossy merge, so no
+    # throughput, however small, reaches its table
+    for kind in ("X", "X2", "Xdagger"):
+        circuit = build_gate_circuit(kind, WINDOW)
+        want = correlation_matrix(circuit, NoiseParams(0.7, 0.5))
+        for throughput in (1.0, 0.5, 1e-6, 5e-324):
+            assert np.array_equal(correlation_matrix(circuit, NoiseParams(0.7, throughput)), want)
 
 
 def test_out_of_window_leakage_is_retained_but_excluded():
@@ -904,6 +908,17 @@ def test_superposition_visibility_matches_the_branch_oracle(circuit, v, throughp
     assert abs(superposition_visibility(circuit, noise) - want) <= 1e-12
 
 
+@pytest.mark.parametrize("throughput", [5e-324, 1e-322])
+def test_superposition_visibility_rejects_a_throughput_its_output_underflows(throughput):
+    # at 5e-324 the output rounds to 0, at 1e-322 it is subnormal and off
+    circuit = build_gate_circuit("X", WINDOW)
+    with pytest.raises(CircuitError, match=f"underflows at throughput {throughput}$"):
+        superposition_visibility(circuit, NoiseParams(0.492, throughput))
+    assert superposition_visibility(circuit, NoiseParams(0.492, 1e-300)) == pytest.approx(
+        0.746, abs=1e-12
+    )
+
+
 def test_superposition_visibility_rejects_pairs_off_the_window():
     circuit = OpticalCircuit(
         4, WINDOW, (ParitySorter(("in",), "even", "odd"),), output_path="even"
@@ -1027,18 +1042,29 @@ def test_calibration_returns_exact_endpoints_at_zero_tolerance(kind, throughput)
         check_against_bisection(kind, target, throughput=throughput, tol=0.0)
 
 
-@pytest.mark.parametrize(
-    "kind,target,root", [("X", 0.873, 0.492), ("X2", 0.904, 0.616), ("Xdagger", 0.884, 0.536)]
-)
+PAPER_ROOTS = [("X", 0.873, 0.492), ("X2", 0.904, 0.616), ("Xdagger", 0.884, 0.536)]
+
+
+@pytest.mark.parametrize("kind,target,root", PAPER_ROOTS)
 def test_calibration_returns_the_exact_root(kind, target, root):
     # every gate's mean efficiency is 0.75 + 0.25 V
     assert abs(calibrate_visibility(kind, target).visibility - root) <= 1e-12
 
 
+@pytest.mark.parametrize("throughput", [5e-324, 1e-322])
+@pytest.mark.parametrize("kind,target,root", PAPER_ROOTS)
+def test_calibration_holds_at_subnormal_throughputs(kind, target, root, throughput):
+    # thr^q is 0 or subnormal here; the table holds no throughput at all
+    noise = calibrate_visibility(kind, target, throughput=throughput)
+    assert abs(noise.visibility - root) <= 1e-12 and noise.throughput == throughput
+    mean = mean_gate_efficiency(kind, NoiseParams(root, throughput))
+    assert abs(mean - target) <= 1e-12
+
+
 @pytest.mark.parametrize("throughput", [0.05, 0.5, 1.0])
 @pytest.mark.parametrize("kind", ["X", "X2", "Xdagger"])
 def test_efficiency_curve_is_the_mean_gate_efficiency(kind, throughput):
-    curve, lo_eff, hi_eff = optics._efficiency_curve(kind, throughput)
+    curve, lo_eff, hi_eff = optics._efficiency_curve(kind)
     vs = np.linspace(0, 1, 101)
     want = [mean_gate_efficiency(kind, NoiseParams(v, throughput)) for v in vs]
     assert np.all(np.abs(curve(vs) - want) <= 1e-12)
@@ -1049,16 +1075,16 @@ def test_efficiency_curve_is_the_mean_gate_efficiency(kind, throughput):
 @settings(deadline=None)
 @given(
     st.sampled_from(["X", "X2", "Xdagger"]),
-    st.floats(1e-300, 1.0),
+    st.floats(5e-324, 1.0),
     st.floats(0.0, 1.0),
 )
 def test_every_gate_efficiency_is_on_the_line_through_its_ends(kind, throughput, v):
     # each input row of the gate's two-grade table keeps its total across the
     # grades or is nonzero only in the expected column, so each row's
-    # efficiency, and their mean, is affine in V; below about 4e-308 the
-    # halved grade entries are subnormal and round
-    table = optics._table(optics._compiled(build_gate_circuit(kind, WINDOW)), throughput)
-    assert len(table) == 2
+    # efficiency, and their mean, is affine in V
+    table = optics._compiled(build_gate_circuit(kind, WINDOW)).table
+    assert table.shape[:2] == (2, 1)
+    table = table[:, 0]
     for i, col in enumerate(expected_permutation(kind)):
         totals = table[:, i].sum(axis=1)
         assert totals[0] == totals[1] or not np.delete(table[:, i], col, axis=1).any()
@@ -1073,7 +1099,7 @@ def test_every_gate_efficiency_is_on_the_line_through_its_ends(kind, throughput,
 def test_calibration_never_evaluates_the_curve_at_a_grid_point(monkeypatch, kind, tol):
     # the ends E(0) and E(1) are cached, so an interior target costs one
     # evaluation: the residual check at the returned V
-    curve, lo_eff, hi_eff = optics._efficiency_curve(kind, 0.5)
+    curve, lo_eff, hi_eff = optics._efficiency_curve(kind)
     calls = []
 
     def spy(v):
@@ -1171,6 +1197,22 @@ TWO_LOSSES = OpticalCircuit(
     ),
     output_path="m2",
 )
+#: Even inputs keep onto a path through three lossy recombiners and leak
+#: onto one through a single one, so at V = 1 they cross three alone.
+THREE_LOSSES = OpticalCircuit(
+    4,
+    WINDOW,
+    (
+        ParitySorter(("in",), "e0", "o0"),
+        ParitySorter(("e0",), "e1", "o1"),
+        Recombiner("e1", "o1", "m1"),
+        ParitySorter(("m1",), "e2", "o2"),
+        Mirror("e2"),
+        Recombiner("e2", "o2", "m2"),
+        Recombiner("m2", "o0", "m3"),
+    ),
+    output_path="m3",
+)
 #: Visibilities anywhere in [0, 1], and ones close enough to 1 that some
 #: window probabilities are tiny.
 VISIBILITIES = st.floats(0, 1) | st.integers(1, 16).map(lambda n: 1 - 10.0**-n)
@@ -1206,6 +1248,8 @@ def transport_window_probs(c, v, throughput):
 @example(LEAKY, 1 - 1e-6, 0.5)
 @example(SPLIT, 1 - 1e-16, 0.5)
 @example(TWO_LOSSES, 0.7, 0.2)
+@example(THREE_LOSSES, 0.7, 0.2)
+@example(THREE_LOSSES, 1.0, 0.2)
 def test_table_correlation_matches_a_fresh_mixture_pass(circuit, v, throughput):
     noise = NoiseParams(v, throughput)
     probs = mixture_window_probs(optics._Compiled(circuit), noise)
@@ -1213,6 +1257,33 @@ def test_table_correlation_matches_a_fresh_mixture_pass(circuit, v, throughput):
     assert np.all(np.abs(matrix - probs / probs.sum(axis=1, keepdims=True)) <= 1e-12)
     assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12)
     assert np.all(matrix >= 0)
+
+
+@pytest.mark.parametrize("v", [0.0, 0.3, 0.7, 1.0])
+def test_throughput_weights_only_the_cells_its_rows_reach_across_more_merges(v):
+    # odd inputs reach the window across one merge and, through the leaks at
+    # V < 1, across two: those cells alone carry thr times a share of at
+    # most 1, and the rest of each row is the same at every tiny throughput
+    assert optics._compiled(TWO_LOSSES).table.shape[1] == 2
+    want = correlation_matrix(TWO_LOSSES, NoiseParams(v, 1e-200))
+    once = want > 1e-100
+    for throughput in (1e-300, 5e-324):
+        matrix = correlation_matrix(TWO_LOSSES, NoiseParams(v, throughput))
+        assert np.array_equal(matrix[once], want[once])
+        assert np.all(matrix[~once] <= throughput) and np.all(matrix >= 0)
+    assert np.all(np.abs(want.sum(axis=1) - 1.0) <= 1e-12)
+    leaks = (want > 0) & ~once
+    assert leaks.any() == (v < 1)  # and at a throughput of 0.5 they hold a visible share
+    assert (correlation_matrix(TWO_LOSSES, NoiseParams(v, 0.5))[leaks] > 0.01).all()
+
+
+def test_each_row_weighs_its_merges_from_its_fewest_at_that_visibility():
+    # at V = 1 the even rows' one-merge leaks weigh nothing, so the rows
+    # count from three merges, and no throughput changes the matrix
+    assert optics._compiled(THREE_LOSSES).table.shape[1] == 3
+    want = correlation_matrix(THREE_LOSSES, NoiseParams(1.0, 0.5))
+    for throughput in (1e-170, 5e-324):
+        assert np.array_equal(correlation_matrix(THREE_LOSSES, NoiseParams(1.0, throughput)), want)
 
 
 @settings(deadline=None)
@@ -1271,17 +1342,31 @@ def test_step_moments_are_the_sign_pattern_means(circuit, v, throughput):
 
 
 @settings(deadline=None)
-@given(random_circuits(), st.floats(0.01, 1))
+@given(random_circuits(), st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1))
+@example(TWO_LOSSES, 0.5)
+@example(THREE_LOSSES, 0.2)
 def test_table_grades_are_non_negative_and_exact_at_both_ends(circuit, throughput):
     c = optics._Compiled(circuit)
-    table = optics._table.__wrapped__(c, throughput)
+    table = c.table
     s = sum("split" in e.noise_slots for e in circuit.elements)
-    assert table.shape == (s + 1, 4, 4)
+    assert table.shape[::2] == (s + 1, 4) and table.shape[3] == 4
     assert np.all(table >= 0)
+    # the q grades run from the fewest merges any row crosses to the most
+    reached = table.any(axis=(0, 3))  # [q, i]
+    assert len(reached) == 1 or reached[0].any() and reached[-1].any()
+    weights = throughput ** np.arange(len(reached))
     for v in (0.0, 1.0):
         want = transport_window_probs(c, v, throughput)
-        got = (optics._grades(v, s) @ table.reshape(s + 1, -1)).reshape(4, 4)
-        assert np.array_equal(got, want)
+        graded = (optics._grades(v, s) @ table.reshape(s + 1, -1)).reshape(table.shape[1:])
+        got = np.tensordot(weights, graded, 1)
+        # the transport over thr^(the fewest merges any row crosses)
+        assert np.array_equal(got > 0, want > 0)
+        with np.errstate(invalid="ignore"):
+            got, want = (p / p.sum(axis=1, keepdims=True) for p in (got, want))
+        if len(table[0]) == 1 and throughput in (1.0, 0.5):  # no sum over q, exact scales
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.all(np.abs(np.nan_to_num(got - want)) <= 1e-12)
 
 
 @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), random_circuits(min_slots=n))))
@@ -1290,8 +1375,18 @@ def test_random_circuits_hold_the_noise_slots_asked_for(drawn):
     assert n <= sum(len(e.noise_slots) for e in circuit.elements) <= 5
 
 
-def test_a_paper_round_builds_one_graded_table_per_circuit_and_throughput():
-    for cache in (optics._gate_circuit, optics._compiled, optics._table, optics._efficiency_curve):
+def test_a_paper_round_builds_one_graded_table_per_circuit(monkeypatch):
+    built = []
+
+    def spy(c):
+        built.append(c.circuit)
+        return table(c)
+
+    table = optics._Compiled.table.func
+    counted = cached_property(spy)
+    counted.__set_name__(optics._Compiled, "table")
+    monkeypatch.setattr(optics._Compiled, "table", counted)
+    for cache in (optics._gate_circuit, optics._compiled, optics._efficiency_curve):
         cache.cache_clear()
     for throughput in (0.5, 0.05):
         for v in (0.0, 0.3, 0.87, 1.0):
@@ -1305,8 +1400,8 @@ def test_a_paper_round_builds_one_graded_table_per_circuit_and_throughput():
     noise_free = OpticalCircuit(4, WINDOW, (PhaseShift("in", 0.3),), output_path="in")
     for v in (0.0, 0.3, 1.0):
         correlation_matrix(noise_free, NoiseParams(v, 0.5))
-    # each gate circuit at each throughput, and the noise-free circuit once
-    assert optics._table.cache_info().misses == len(PAPER_TARGETS) * 2 + 1 == 7
+    # each gate circuit once at every throughput, and the noise-free circuit
+    assert built == [build_gate_circuit(kind, WINDOW) for kind, _ in PAPER_TARGETS] + [noise_free]
 
 
 def test_each_distinct_circuit_compiles_once(monkeypatch):
@@ -1318,7 +1413,7 @@ def test_each_distinct_circuit_compiles_once(monkeypatch):
 
     compile_ = optics._compile
     monkeypatch.setattr(optics, "_compile", spy)
-    for cache in (optics._gate_circuit, optics._compiled, optics._table, optics._efficiency_curve):
+    for cache in (optics._gate_circuit, optics._compiled, optics._efficiency_curve):
         cache.cache_clear()
     for _ in range(3):
         for kind, target in PAPER_TARGETS:
@@ -1346,8 +1441,7 @@ def test_callers_cannot_change_a_cached_result():
         matrix[:] = 0.0
         assert np.array_equal(correlation_matrix(circuit, noise), want)
     entry = optics._compiled(circuit)
-    table = optics._table(entry, 0.5)
-    for array in [entry.transfer, table] + [basis for _, _, basis in entry.steps]:
+    for array in [entry.transfer, entry.table] + [basis for _, _, basis in entry.steps]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
